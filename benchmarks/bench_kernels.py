@@ -1,12 +1,18 @@
-"""Benchmark the fused LSTM kernels: numba-jitted vs pure numpy.
+"""Time the LSTM kernels: the training scan (forward and forward+backward)
+and the cache-free prediction scan.
 
 Usage: python3 benchmarks/bench_kernels.py
 
-The same kernel source runs on both paths (see noisylab.kernels); this
-script times forward and forward+backward at the bundled-experiment scale
-and at the full-size configuration (300-dim vectors, state size 300).
+Shapes are (batch, window, embed dim, state size): the bundled-experiment
+scale, a mid size and the full-size configuration (300-dim vectors, state
+size 300) at training batch sizes, and the two evaluation shapes at
+``eval_batch_size=512``.  The prediction scan is timed over the whole
+window ("final" pooling, 7 steps) and up to the middle token ("center"
+pooling, 4 steps).  Each figure is the median of REPEATS calls, in ms.
+The BLAS thread setting is printed as found and never changed.
 """
 
+import os
 import time
 
 import numpy as np
@@ -14,13 +20,14 @@ import numpy as np
 from noisylab import kernels
 
 SIZES = (
-    # (batch, window, embed dim, state size)
     (32, 7, 16, 24),
     (64, 7, 50, 100),
     (32, 7, 300, 300),
+    (512, 7, 16, 24),
+    (512, 7, 300, 300),
 )
 
-REPEATS = 30
+REPEATS = 15
 
 
 def make_inputs(rng, b, t, e, h):
@@ -31,43 +38,37 @@ def make_inputs(rng, b, t, e, h):
     return x, w_in, w_rec, bias
 
 
-def time_path(forward, backward, args, dh):
-    x, w_in, w_rec, bias = args
-    forward(*args)  # warmup (and jit compile on the numba path)
-    start = time.perf_counter()
+def median_ms(fn):
+    fn()  # warmup
+    times = []
     for _ in range(REPEATS):
-        forward(*args)
-    fwd = (time.perf_counter() - start) / REPEATS
-    caches = forward(*args)
-    backward(x, w_in, w_rec, *caches, dh, True)
-    start = time.perf_counter()
-    for _ in range(REPEATS):
-        backward(x, w_in, w_rec, *caches, dh, True)
-    bwd = (time.perf_counter() - start) / REPEATS
-    return fwd, bwd
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return 1e3 * float(np.median(times))
 
 
 def main():
-    if kernels.lstm_forward_jit is None:
-        print("numba not available; only the numpy path can be timed")
+    print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')} "
+          f"cpus={os.cpu_count()} numpy={np.__version__} dtype=float64")
     rng = np.random.default_rng(0)
-    header = f"{'size (B,T,E,H)':>18} {'path':>6} {'fwd ms':>9} {'fwd+bwd ms':>11} {'speedup':>8}"
+    header = (f"{'size (B,T,E,H)':>20} {'fwd ms':>9} {'fwd+bwd ms':>11} "
+              f"{'predict 7 ms':>13} {'predict 4 ms':>13}")
     print(header)
     print("-" * len(header))
     for size in SIZES:
-        args = make_inputs(rng, *size)
+        x, w_in, w_rec, bias = make_inputs(rng, *size)
         dh = rng.standard_normal((size[0], size[1], size[3]))
-        np_fwd, np_bwd = time_path(
-            kernels.lstm_forward_numpy, kernels.lstm_backward_numpy, args, dh)
-        rows = [("numpy", np_fwd, np_bwd, 1.0)]
-        if kernels.lstm_forward_jit is not None:
-            jit_fwd, jit_bwd = time_path(
-                kernels.lstm_forward_jit, kernels.lstm_backward_jit, args, dh)
-            rows.append(("numba", jit_fwd, jit_bwd,
-                         (np_fwd + np_bwd) / (jit_fwd + jit_bwd)))
-        for path, fwd, bwd, speedup in rows:
-            print(f"{str(size):>18} {path:>6} {1e3 * fwd:9.3f} "
-                  f"{1e3 * (fwd + bwd):11.3f} {speedup:8.2f}x")
+
+        def train_step():
+            caches = kernels.lstm_forward(x, w_in, w_rec, bias)
+            kernels.lstm_backward(x, w_in, w_rec, *caches, dh, True)
+
+        fwd = median_ms(lambda: kernels.lstm_forward(x, w_in, w_rec, bias))
+        fwd_bwd = median_ms(train_step)
+        final = median_ms(lambda: kernels.lstm_last_hidden(x, w_in, w_rec, bias, 7))
+        center = median_ms(lambda: kernels.lstm_last_hidden(x, w_in, w_rec, bias, 4))
+        print(f"{str(size):>20} {fwd:9.3f} {fwd_bwd:11.3f} {final:13.3f} {center:13.3f}")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import kernels
 from .autodiff import Tensor
 from .rng import substream
 
@@ -189,18 +190,18 @@ class WindowClassifier:
         return self.probs(np.atleast_2d(ids)).values[0]
 
     def infer_features(self, token_ids):
-        """Graph-free replica of :meth:`features` for prediction paths."""
-        from . import kernels
-        ids = np.atleast_2d(token_ids)
-        x = np.ascontiguousarray(self.embedding.values[ids])
-        hf, _, _, _ = kernels.lstm_forward(
-            x, self.fw_in.values, self.fw_rec.values, self.fw_bias.values)
-        xr = np.ascontiguousarray(x[:, ::-1, :])
-        hb, _, _, _ = kernels.lstm_forward(
-            xr, self.bw_in.values, self.bw_rec.values, self.bw_bias.values)
-        hb = hb[:, ::-1, :]
+        """Graph-free replica of :meth:`features` for prediction paths.
+
+        Each direction scans only up to its pooled step and keeps no caches.
+        """
+        x = self.embedding.values[np.atleast_2d(token_ids)]
         step_f, step_b = self._pool_steps()
-        return np.concatenate([hf[:, step_f, :], hb[:, step_b, :]], axis=1)
+        hf = kernels.lstm_last_hidden(
+            x, self.fw_in.values, self.fw_rec.values, self.fw_bias.values, step_f + 1)
+        hb = kernels.lstm_last_hidden(
+            x[:, ::-1], self.bw_in.values, self.bw_rec.values, self.bw_bias.values,
+            WINDOW_SIZE - step_b)
+        return np.concatenate([hf, hb], axis=1)
 
     def infer_probs(self, token_ids):
         """Graph-free replica of :meth:`probs`."""

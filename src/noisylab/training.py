@@ -201,12 +201,22 @@ def _clean_noisy_labels(model, cleaner, noisy_split, indices, k, eval_batch):
     return ids, cleaned
 
 
+def predict_split(model, split, eval_batch):
+    """Predicted class of every window of ``split``; counts as one read.
+
+    Each distinct window is predicted once, in chunks of ``eval_batch``
+    rows, and its prediction is scattered back to every place it occurs.
+    """
+    rows, inverse = split.take_distinct()
+    preds = np.empty(rows.shape[0], dtype=np.int64)
+    for start in range(0, rows.shape[0], eval_batch):
+        preds[start:start + eval_batch] = model.predict(rows[start:start + eval_batch])
+    return preds[inverse]
+
+
 def evaluate_split(model, split, label_set, eval_batch):
     """Entity-level report of the model's predictions on one split."""
-    preds = np.empty(len(split), dtype=np.int64)
-    ids, _ = split.take(slice(None))
-    for start in range(0, ids.shape[0], eval_batch):
-        preds[start:start + eval_batch] = model.predict(ids[start:start + eval_batch])
+    preds = predict_split(model, split, eval_batch)
     gold = split.sequences("y")
     predicted = split_by_lengths(preds, split.sentence_lengths)
     report = entity_prf(gold, predicted, label_set)
@@ -232,10 +242,7 @@ def _init_noise_matrix(variant, model, data, config, trial_seed):
         for epoch in range(config.pretrain_epochs):
             rng = substream(trial_seed, "shuffle", "pretrain", epoch)
             _supervised_pass(model, ids, z, opt, rng, config.batch_size)
-        preds = np.empty(len(data.noisy), dtype=np.int64)
-        for start in range(0, ids.shape[0], config.eval_batch_size):
-            preds[start:start + config.eval_batch_size] = model.predict(
-                ids[start:start + config.eval_batch_size])
+        preds = predict_split(model, data.noisy, config.eval_batch_size)
         counts = estimate_confusion(preds, z, k)
         return NoiseMatrix(init_noise_weights(counts, config.alpha), dtype=dtype)
     return None

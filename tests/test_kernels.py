@@ -1,5 +1,5 @@
-"""LSTM kernel checks: the jitted and plain paths must agree, the fused
-forward must match an independently written step-by-step oracle, and the
+"""LSTM kernel checks: the fused forward and the cache-free prediction scan
+must match an independently written step-by-step oracle, and the
 hand-derived backward must match finite differences."""
 
 import numpy as np
@@ -40,23 +40,52 @@ def oracle_forward(x, w_in, w_rec, bias):
 def test_forward_matches_straight_line_oracle():
     rng = np.random.default_rng(0)
     x, w_in, w_rec, bias = make_inputs(rng)
-    h_all, _, _, _ = kernels.lstm_forward_numpy(x, w_in, w_rec, bias)
+    h_all, _, _, _ = kernels.lstm_forward(x, w_in, w_rec, bias)
     np.testing.assert_allclose(h_all, oracle_forward(x, w_in, w_rec, bias), atol=1e-12)
 
 
-@pytest.mark.skipif(kernels.lstm_forward_jit is None, reason="numba unavailable")
-def test_jit_and_numpy_paths_agree():
-    rng = np.random.default_rng(1)
-    x, w_in, w_rec, bias = make_inputs(rng, b=4, t=7, e=6, h=5)
-    ref = kernels.lstm_forward_numpy(x, w_in, w_rec, bias)
-    jit = kernels.lstm_forward_jit(x, w_in, w_rec, bias)
-    for a, b in zip(ref, jit):
-        np.testing.assert_allclose(a, b, atol=1e-12)
-    dh = rng.standard_normal(ref[0].shape)
-    back_ref = kernels.lstm_backward_numpy(x, w_in, w_rec, *ref, dh, True)
-    back_jit = kernels.lstm_backward_jit(x, w_in, w_rec, *jit, dh, True)
-    for a, b in zip(back_ref, back_jit):
-        np.testing.assert_allclose(a, b, atol=1e-12)
+# (forward steps, backward steps) scanned for the pooled state of a
+# 7-token window: "final" pooling reads both directions after the whole
+# window, "center" pooling reads both at the middle token
+POOLED_STEPS = {"final": (7, 7), "center": (4, 4)}
+
+
+@pytest.mark.parametrize("pooling", sorted(POOLED_STEPS))
+@pytest.mark.parametrize("b", [1, 5])
+def test_last_hidden_equals_training_scan_at_pooled_step(pooling, b):
+    rng = np.random.default_rng(5)
+    x, w_in, w_rec, bias = make_inputs(rng, b=b, t=7, e=4, h=3)
+    xr = x[:, ::-1, :]
+    for steps, seq in zip(POOLED_STEPS[pooling], (x, xr)):
+        h_all = kernels.lstm_forward(np.ascontiguousarray(seq), w_in, w_rec, bias)[0]
+        h_last = kernels.lstm_last_hidden(seq, w_in, w_rec, bias, steps)
+        assert h_last.shape == (b, 3)
+        np.testing.assert_array_equal(h_last, h_all[:, steps - 1, :])
+
+
+@pytest.mark.parametrize("steps", [1, 4, 7])
+def test_last_hidden_matches_straight_line_oracle(steps):
+    rng = np.random.default_rng(6)
+    x, w_in, w_rec, bias = make_inputs(rng, b=4, t=7, e=5, h=4)
+    expected = oracle_forward(x, w_in, w_rec, bias)[:, steps - 1, :]
+    got = kernels.lstm_last_hidden(x, w_in, w_rec, bias, steps)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_last_hidden_keeps_float32():
+    rng = np.random.default_rng(7)
+    x, w_in, w_rec, bias = (a.astype(np.float32) for a in make_inputs(rng, t=7))
+    h = kernels.lstm_last_hidden(x, w_in, w_rec, bias, 4)
+    assert h.dtype == np.float32
+    expected = oracle_forward(*(a.astype(np.float64) for a in (x, w_in, w_rec, bias)))
+    np.testing.assert_allclose(h, expected[:, 3, :], atol=1e-5)
+
+
+@pytest.mark.parametrize("steps", [0, 8])
+def test_last_hidden_rejects_steps_outside_window(steps):
+    x, w_in, w_rec, bias = make_inputs(np.random.default_rng(8), t=7)
+    with pytest.raises(ValueError):
+        kernels.lstm_last_hidden(x, w_in, w_rec, bias, steps)
 
 
 def test_backward_matches_finite_differences():

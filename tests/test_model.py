@@ -206,10 +206,12 @@ class TestBaseForward:
         np.testing.assert_array_equal(model.probs(ids).values, model.probs(ids).values)
 
     def test_infer_matches_graph_forward(self):
-        model = tiny_model()
         rng = np.random.default_rng(3)
         ids = rng.integers(0, 11, size=(6, 7))
-        np.testing.assert_allclose(model.infer_probs(ids), model.probs(ids).values, atol=1e-14)
+        for pooling in ("final", "center"):
+            model = tiny_model(pooling=pooling)
+            np.testing.assert_allclose(model.infer_probs(ids), model.probs(ids).values,
+                                       atol=1e-14)
 
     def test_matches_straight_line_reimplementation(self):
         model = tiny_model(seed=7)

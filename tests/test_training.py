@@ -17,6 +17,7 @@ from noisylab.training import (
     VariantSpec,
     evaluate_split,
     mean_and_se,
+    predict_split,
     run_trials,
     schedule,
     subsample_noisy,
@@ -320,16 +321,39 @@ class TestSweep:
 
 class TestEvaluateSplit:
     def test_perfect_predictions_score_one(self, tiny_data):
-        # a stand-in model that feeds the gold labels back
-        oracle_labels = tiny_data.dev.y
-        oracle_pos = [0]
+        # a stand-in model that looks up each window's gold label
+        split = tiny_data.dev
+        gold_of = {}
+        for window, label in zip(split.token_ids, split.y):
+            assert gold_of.setdefault(window.tobytes(), label) == label
+        assert len(gold_of) < len(split), "fixture needs repeated windows"
 
         class Oracle:
             def predict(self, ids):
-                start = oracle_pos[0]
-                oracle_pos[0] += ids.shape[0]
-                return oracle_labels[start:oracle_pos[0]]
+                return np.array([gold_of[window.tobytes()] for window in ids])
 
-        f1, report = evaluate_split(Oracle(), tiny_data.dev, tiny_data.label_set, 64)
+        f1, report = evaluate_split(Oracle(), split, tiny_data.label_set, 64)
         assert f1 == 1.0
         assert report.overall.recall == 1.0
+
+
+class TestPredictSplit:
+    @pytest.fixture(scope="class")
+    def model(self, tiny_data):
+        from noisylab.model import WindowClassifier
+        return WindowClassifier(tiny_data.embedding_table, k=5, hidden_size=10,
+                                dense_size=8, seed=3, pooling="center")
+
+    def test_equals_row_by_row_predict(self, tiny_data, model):
+        split = tiny_data.dev
+        assert np.unique(split.token_ids, axis=0).shape[0] < len(split)
+        expected = np.array([model.predict(window)[0] for window in split.token_ids])
+        for eval_batch in (1, 64, 10_000):
+            np.testing.assert_array_equal(predict_split(model, split, eval_batch), expected)
+
+    def test_one_evaluation_is_one_read(self, tiny_data, model):
+        split = tiny_data.test
+        for _ in range(2):  # the first call also works out the distinct windows
+            before = split.reads
+            evaluate_split(model, split, tiny_data.label_set, 64)
+            assert split.reads == before + 1
