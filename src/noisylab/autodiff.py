@@ -98,7 +98,8 @@ class Tensor:
                     acc = flows.get(id(parent))
                     flows[id(parent)] = pg if acc is None else acc + pg
             elif node.requires_grad:
-                node.grad = node.grad + g
+                grad = node.grad
+                np.add(grad, np.reshape(g, grad.shape), out=grad)
 
     def __add__(self, other):
         return add(self, other)
@@ -393,10 +394,8 @@ def lstm_sequence(x, w_in, w_rec, bias, reverse=False):
             xv, w_in.values, w_rec.values, h_all, c_all, tc_all, gates,
             dh_all, x.requires_grad,
         )
-        if x.requires_grad:
-            dx = dx if not reverse else np.ascontiguousarray(dx[:, ::-1, :])
-        else:
-            dx = None
+        if dx is not None and reverse:
+            dx = np.ascontiguousarray(dx[:, ::-1, :])
         return (dx, dw_in, dw_rec, dbias)
 
     out._backward = _back

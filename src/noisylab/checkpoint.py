@@ -47,18 +47,18 @@ def load_checkpoint(path):
             key[len("model_"):]: data[key]
             for key in data.files if key.startswith("model_")
         }
-        noise = NoiseMatrix(data["noise_b"]) if "noise_b" in data.files else None
+        noise = (NoiseMatrix(data["noise_b"], dtype=config.numpy_dtype)
+                 if "noise_b" in data.files else None)
         extras = {}
         if "selected_epoch" in data.files:
             extras["selected_epoch"] = int(data["selected_epoch"])
         if "dev_f1_history" in data.files:
             extras["dev_f1_history"] = data["dev_f1_history"].tolist()
-    dtype = np.float32 if config.dtype == "float32" else np.float64
     model = WindowClassifier(
         state["embedding"], k=label_set.k, hidden_size=config.hidden_size,
         dense_size=config.dense_size, seed=config.seed,
         trainable_embeddings=config.trainable_embeddings,
-        pooling=config.pooling, dtype=dtype,
+        pooling=config.pooling, dtype=config.numpy_dtype,
     )
     model.load_state(state)
     return model, vocab, label_set, config, noise, extras

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import evaluation, training
+from .autodiff import NonFiniteError
 from .config import ExperimentConfig
 from .conll import CorpusDocument, Sentence, parse_conll, write_conll
 from .data import corpus_windows, prepare
@@ -132,12 +133,11 @@ def cmd_train(args):
         os.path.join(args.out, "metrics.jsonl"),
         "".join(jsonl_line(r) + "\n" for r in records),
     )
-    dtype = np.float32 if config.dtype == "float32" else np.float64
     model = WindowClassifier(
         data.embedding_table, k=data.k, hidden_size=config.hidden_size,
         dense_size=config.dense_size, seed=config.seed,
         trainable_embeddings=config.trainable_embeddings, pooling=config.pooling,
-        dtype=dtype,
+        dtype=config.numpy_dtype,
     )
     model.load_state(result.model_state)
     noise = None if result.noise_b is None else NoiseMatrix(result.noise_b)
@@ -295,7 +295,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, NonFiniteError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

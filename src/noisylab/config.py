@@ -4,6 +4,8 @@ as flat ``key = value`` text so a saved config reproduces its run."""
 import dataclasses
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import LabelSet
 
 
@@ -49,6 +51,11 @@ class ExperimentConfig:
     alpha: float = 1.0  # confusion smoothing
     noisy_factor: float = 1.0  # |subsample| = round(factor * |C|)
     pretrain_epochs: int = 5  # noise-adaptation-model initialization
+
+    @property
+    def numpy_dtype(self):
+        """The numpy float type that ``dtype`` names."""
+        return np.float32 if self.dtype == "float32" else np.float64
 
     def label_set(self):
         return LabelSet([n.strip() for n in self.labels.split(",")])

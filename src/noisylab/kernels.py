@@ -103,44 +103,65 @@ def lstm_last_hidden(x, w_in, w_rec, bias, steps):
 def lstm_backward(x, w_in, w_rec, h_all, c_all, tc_all, gates, dh_all, need_dx):
     """Backpropagate dh_all (B, T, H) through the scan of ``lstm_forward``.
 
-    Returns (dx, dw_in, dw_rec, dbias).  dx is all-zero when need_dx is
-    False; the caller skips it in that case.
+    Returns (dx, dw_in, dw_rec, dbias); dx is None when need_dx is False.
+
+    Each gate derivative is a local factor, read from the caches, times dc
+    (input, forget and cell blocks) or dh (output block).  The local
+    factors of all steps are computed first, in place, into one time-major
+    (T, B, 4H) buffer; the time loop then follows only the recurrent
+    chain, scaling one step of that buffer per iteration.  The weight
+    gradients and dx are one GEMM each over all steps (Appleyard et al.,
+    arXiv 1604.01946).  The caches are only read.
     """
     B, T, E = x.shape
     H = w_rec.shape[0]
     one = x.dtype.type(1)
-    h_tm = h_all.transpose(1, 0, 2)
-    dw_in = np.zeros_like(w_in)
-    dw_rec = np.zeros_like(w_rec)
-    dbias = np.zeros(4 * H, x.dtype)
-    dx = np.zeros((B, T, E), x.dtype)
-    dh_next = np.zeros((B, H), x.dtype)
-    dc_next = np.zeros((B, H), x.dtype)
-    c_zero = np.zeros((B, H), x.dtype)
-    da = np.zeros((B, 4 * H), x.dtype)
-    w_in_t = np.ascontiguousarray(w_in.T)
-    w_rec_t = np.ascontiguousarray(w_rec.T)
+    g4 = gates.reshape(T, B, 4, H)
+    gi, gf, gc, go = (g4[:, :, k] for k in range(4))
+    da_all = np.empty((T, B, 4 * H), x.dtype)
+    d4 = da_all.reshape(T, B, 4, H)
+    # sigmoid derivative g * (1 - g) of every block, then 1 - gc^2 for
+    # the cell block
+    np.subtract(one, gates, out=da_all)
+    da_all *= gates
+    dcell = d4[:, :, 2]
+    np.multiply(gc, gc, out=dcell)
+    np.subtract(one, dcell, out=dcell)
+    # local factors: gc for i, c_prev for f (zero before the first
+    # step), gi for the cell, tanh(c) for o
+    d4[:, :, 0] *= gc
+    d4[1:, :, 1] *= c_all[:-1]
+    d4[0, :, 1] = 0
+    dcell *= gi
+    d4[:, :, 3] *= tc_all
+    # dc picks up dh * go * (1 - tanh(c)^2) at each step
+    dh_to_dc = np.multiply(tc_all, tc_all)
+    np.subtract(one, dh_to_dc, out=dh_to_dc)
+    dh_to_dc *= go
+    w_rec_t = w_rec.T
+    # dh and dc carry dh_next and dc_next between steps
+    dh = np.zeros((B, H), x.dtype)
+    dc = np.zeros((B, H), x.dtype)
+    u = np.empty((B, H), x.dtype)
     for t in range(T - 1, -1, -1):
-        g = gates[t]
-        gi = g[:, :H]
-        gf = g[:, H:2 * H]
-        gc = g[:, 2 * H:3 * H]
-        go = g[:, 3 * H:]
-        tc = tc_all[t]
-        dh = dh_all[:, t, :] + dh_next
-        dc = dc_next + dh * go * (one - tc * tc)
-        c_prev = c_all[t - 1] if t > 0 else c_zero
-        da[:, :H] = dc * gc * gi * (one - gi)
-        da[:, H:2 * H] = dc * c_prev * gf * (one - gf)
-        da[:, 2 * H:3 * H] = dc * gi * (one - gc * gc)
-        da[:, 3 * H:] = dh * tc * go * (one - go)
-        xt = np.ascontiguousarray(x[:, t, :])
-        dw_in += np.dot(np.ascontiguousarray(xt.T), da)
-        if t > 0:  # the state before the first step is zero
-            dw_rec += np.dot(np.ascontiguousarray(h_tm[t - 1].T), da)
-        dbias += da.sum(0)
-        if need_dx:
-            dx[:, t, :] = np.dot(da, w_in_t)
-        dh_next = np.dot(da, w_rec_t)
-        dc_next = dc * gf
+        dh += dh_all[:, t, :]
+        np.multiply(dh, dh_to_dc[t], out=u)
+        dc += u
+        d4[t, :, :3] *= dc[:, None, :]
+        d4[t, :, 3] *= dh
+        if t > 0:
+            np.dot(da_all[t], w_rec_t, out=dh)
+            dc *= gf[t]
+    da_flat = da_all.reshape(T * B, 4 * H)
+    xs = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(T * B, E)
+    dw_in = np.dot(xs.T, da_flat)
+    if T > 1:
+        h_prev = h_all.transpose(1, 0, 2)[:T - 1].reshape((T - 1) * B, H)
+        dw_rec = np.dot(h_prev.T, da_flat[B:])
+    else:
+        dw_rec = np.zeros_like(w_rec)
+    dbias = da_flat.sum(0)
+    dx = None
+    if need_dx:
+        dx = np.dot(da_flat, w_in.T).reshape(T, B, E).transpose(1, 0, 2)
     return dx, dw_in, dw_rec, dbias

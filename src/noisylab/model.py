@@ -346,11 +346,6 @@ class CleaningNetwork:
             getattr(self, name).values[...] = values
 
 
-def cleaning_forward(cleaner, features, noisy_onehot):
-    """Cleaned label vector for given features and one-hot noisy labels."""
-    return cleaner.forward(features, noisy_onehot)
-
-
 def one_hot(labels, k, dtype=np.float64):
     labels = np.asarray(labels, dtype=np.int64)
     out = np.zeros((labels.shape[0], k), dtype=dtype)

@@ -225,7 +225,7 @@ def evaluate_split(model, split, label_set, eval_batch):
 
 def _init_noise_matrix(variant, model, data, config, trial_seed):
     k = data.k
-    dtype = np.float32 if config.dtype == "float32" else np.float64
+    dtype = config.numpy_dtype
     if variant == "noise-model":
         if data.clean.z is None:
             raise ValueError("noise-model needs noisy twins of the clean labels")
@@ -256,7 +256,7 @@ def train_variant(spec, data: SplitDataset, config, trial_seed,
         spec = VariantSpec(spec)
     variant = spec.name
     k = data.k
-    dtype = np.float32 if config.dtype == "float32" else np.float64
+    dtype = config.numpy_dtype
     model = WindowClassifier(
         data.embedding_table, k=k, hidden_size=config.hidden_size,
         dense_size=config.dense_size, seed=trial_seed,

@@ -189,6 +189,25 @@ class TestTrainEvaluateReport:
         assert b.shape == (5, 5)
 
 
+class TestNonFiniteExit:
+    def test_non_finite_error_exits_2_with_message(self, toy_dir, tiny_config_text,
+                                                    tmp_path, monkeypatch, capsys):
+        from noisylab import training
+        from noisylab.autodiff import NonFiniteError
+
+        def diverge(*args, **kwargs):
+            raise NonFiniteError("Adam: non-finite gradient in parameter 0")
+
+        monkeypatch.setattr(training, "train_variant", diverge)
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(tiny_config_text, encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: Adam: non-finite gradient in parameter 0" in err
+        assert "Traceback" not in err
+
+
 class TestSweepCommand:
     def test_sweep_emits_table(self, toy_dir, tiny_config_text, tmp_path):
         cfg_text = tiny_config_text.replace(f"epochs = {TINY_EPOCHS}", "epochs = 2")

@@ -182,3 +182,27 @@ class TestExperimentConfig:
     def test_label_set(self):
         config = ExperimentConfig(labels="O,A,B")
         assert config.label_set().classes == ("O", "A", "B")
+
+
+class TestCheckpointDtype:
+    def test_float32_checkpoint_reloads_float32(self, tmp_path):
+        from noisylab.checkpoint import load_checkpoint, save_checkpoint
+        from noisylab.model import NoiseMatrix, WindowClassifier
+
+        config = ExperimentConfig(dtype="float32", hidden_size=4, dense_size=3)
+        assert config.numpy_dtype is np.float32
+        vocab = Vocabulary(["alpha", "beta"])
+        label_set = LabelSet()
+        table = np.random.default_rng(0).standard_normal((vocab.size, 5))
+        model = WindowClassifier(table, k=label_set.k, hidden_size=4, dense_size=3,
+                                 dtype=config.numpy_dtype)
+        noise = NoiseMatrix(np.eye(label_set.k), dtype=config.numpy_dtype)
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(path, model, vocab, label_set, config, noise=noise)
+        model2, _, _, config2, noise2, _ = load_checkpoint(path)
+        assert config2.numpy_dtype is np.float32
+        assert all(p.values.dtype == np.float32 for p in model2.parameters())
+        assert noise2.logits.values.dtype == np.float32
+        theta = noise2.theta_tensor().values  # the theta training multiplies by
+        assert theta.dtype == np.float32
+        np.testing.assert_array_equal(theta, noise.theta_tensor().values)

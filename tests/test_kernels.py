@@ -1,6 +1,7 @@
 """LSTM kernel checks: the fused forward and the cache-free prediction scan
-must match an independently written step-by-step oracle, and the
-hand-derived backward must match finite differences."""
+must match an independently written step-by-step oracle, the backward must
+match a step-by-step backward oracle, and the hand-derived backward must
+match finite differences."""
 
 import numpy as np
 import pytest
@@ -86,6 +87,90 @@ def test_last_hidden_rejects_steps_outside_window(steps):
     x, w_in, w_rec, bias = make_inputs(np.random.default_rng(8), t=7)
     with pytest.raises(ValueError):
         kernels.lstm_last_hidden(x, w_in, w_rec, bias, steps)
+
+
+def oracle_backward(x, w_in, w_rec, h_all, c_all, tc_all, gates, dh_all):
+    """Plain step-by-step backward over ``lstm_forward``'s caches: every
+    gradient is accumulated one step at a time."""
+    b, t_len, e = x.shape
+    h = w_rec.shape[0]
+    dw_in = np.zeros_like(w_in)
+    dw_rec = np.zeros_like(w_rec)
+    dbias = np.zeros(4 * h, x.dtype)
+    dx = np.zeros((b, t_len, e), x.dtype)
+    dh_next = np.zeros((b, h), x.dtype)
+    dc_next = np.zeros((b, h), x.dtype)
+    for t in range(t_len - 1, -1, -1):
+        g = gates[t]
+        gi, gf, gc, go = g[:, :h], g[:, h:2 * h], g[:, 2 * h:3 * h], g[:, 3 * h:]
+        tc = tc_all[t]
+        dh = dh_all[:, t, :] + dh_next
+        dc = dc_next + dh * go * (1 - tc * tc)
+        c_prev = c_all[t - 1] if t > 0 else np.zeros((b, h), x.dtype)
+        da = np.concatenate([
+            dc * gc * gi * (1 - gi),
+            dc * c_prev * gf * (1 - gf),
+            dc * gi * (1 - gc * gc),
+            dh * tc * go * (1 - go),
+        ], axis=1)
+        dw_in += x[:, t, :].T @ da
+        if t > 0:
+            dw_rec += h_all[:, t - 1, :].T @ da
+        dbias += da.sum(0)
+        dx[:, t, :] = da @ w_in.T
+        dh_next = da @ w_rec.T
+        dc_next = dc * gf
+    return dx, dw_in, dw_rec, dbias
+
+
+@pytest.mark.parametrize("need_dx", [True, False])
+@pytest.mark.parametrize("b", [1, 5])
+@pytest.mark.parametrize("t", [1, 2, 7])
+def test_backward_matches_step_by_step_oracle(t, b, need_dx):
+    rng = np.random.default_rng(9)
+    x, w_in, w_rec, bias = make_inputs(rng, b=b, t=t, e=4, h=3)
+    caches = kernels.lstm_forward(x, w_in, w_rec, bias)
+    dh_all = rng.standard_normal((b, t, 3))
+    saved = [c.copy() for c in caches]
+    dx, dw_in, dw_rec, dbias = kernels.lstm_backward(
+        x, w_in, w_rec, *caches, dh_all, need_dx)
+    for cache, before in zip(caches, saved):
+        np.testing.assert_array_equal(cache, before)  # caches are only read
+    want_dx, want_in, want_rec, want_bias = oracle_backward(x, w_in, w_rec, *caches, dh_all)
+    if need_dx:
+        np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
+    else:
+        assert dx is None
+    np.testing.assert_allclose(dw_in, want_in, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dw_rec, want_rec, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dbias, want_bias, rtol=0, atol=1e-12)
+    if t == 1:
+        np.testing.assert_array_equal(dw_rec, 0.0)
+
+
+def test_backward_keeps_float32():
+    rng = np.random.default_rng(10)
+    x, w_in, w_rec, bias = (a.astype(np.float32) for a in make_inputs(rng, t=7))
+    caches = kernels.lstm_forward(x, w_in, w_rec, bias)
+    dh_all = rng.standard_normal((3, 7, 3)).astype(np.float32)
+    grads = kernels.lstm_backward(x, w_in, w_rec, *caches, dh_all, True)
+    assert [g.dtype for g in grads] == [np.float32] * 4
+
+
+def test_two_backward_passes_give_twice_the_gradient():
+    rng = np.random.default_rng(11)
+    xv, w_in_v, w_rec_v, bias_v = make_inputs(rng, b=4, t=7, e=3, h=3)
+    params = [Tensor(v, requires_grad=True) for v in (xv, w_in_v, w_rec_v, bias_v)]
+    coeffs = rng.standard_normal((4, 7, 3))
+    loss = ad.add(
+        ad.reduce_sum(ad.mul(ad.lstm_sequence(*params), coeffs)),
+        ad.reduce_sum(ad.mul(ad.lstm_sequence(*params, reverse=True), coeffs)),
+    )
+    loss.backward()
+    once = [p.grad.copy() for p in params]
+    loss.backward()
+    for p, g in zip(params, once):
+        np.testing.assert_array_equal(p.grad, 2 * g)
 
 
 def test_backward_matches_finite_differences():

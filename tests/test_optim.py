@@ -79,3 +79,44 @@ def test_converges_on_quadratic():
         ad.mul(w, w).backward()
         opt.step()
     assert abs(float(w.values)) < 0.05
+
+
+def textbook_adam(values, grads, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam written out as in Kingma & Ba, one fresh array per operation."""
+    m = np.zeros_like(values)
+    v = np.zeros_like(values)
+    for t, g in enumerate(grads, start=1):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        values = values - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return values
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bit_identical_to_textbook_update(dtype):
+    rng = np.random.default_rng(0)
+    start = [rng.standard_normal((4, 3)).astype(dtype), rng.standard_normal(5).astype(dtype),
+             np.asfortranarray(rng.standard_normal((3, 4)).astype(dtype))]
+    grads = [[rng.standard_normal(s.shape).astype(dtype) for _ in range(20)] for s in start]
+    params = [Tensor(s.copy(), requires_grad=True) for s in start]
+    opt = Adam(params, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+    for step in range(20):
+        for p, g in zip(params, grads):
+            p.grad = g[step].copy()
+        opt.step()
+    for p, s, g in zip(params, start, grads):
+        want = textbook_adam(s, g, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+        assert p.values.dtype == dtype
+        np.testing.assert_array_equal(p.values, want)
+
+
+def test_non_finite_message_names_parameter_and_step():
+    a = Tensor(np.zeros(2), requires_grad=True)
+    b = Tensor(np.zeros((2, 3)), requires_grad=True)
+    opt = Adam([a, b])
+    opt.step()
+    b.grad = np.full((2, 3), np.inf)
+    with pytest.raises(NonFiniteError, match=r"parameter 1 of shape \(2, 3\) at step 2"):
+        opt.step()
