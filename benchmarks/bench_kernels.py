@@ -6,13 +6,19 @@ Usage: python3 benchmarks/bench_kernels.py
 Shapes are (batch, window, embed dim, state size): the bundled-experiment
 scale, a mid size and the full-size configuration (300-dim vectors, state
 size 300) at training batch sizes, and the two evaluation shapes at
-``eval_batch_size=512``.  The prediction scan is timed over the whole
-window ("final" pooling, 7 steps) and up to the middle token ("center"
-pooling, 4 steps).  The backward is timed on caches computed once.  Each
+``eval_batch_size=512``.  The training columns run on random inputs.  The
+prediction scan reads real windows, because what it saves depends on how
+many tokens and prefixes the windows share: the first ``batch`` distinct
+windows of a ``toydata.generate_splits`` dev split, in the sorted order in
+which ``training.predict_split`` scores them, over a random embedding
+table.  It is timed over the whole window ("final" pooling, 7 steps) and
+up to the middle token ("center" pooling, 4 steps), both in the forward
+direction.  The distinct-token and distinct-prefix counts of that split
+are printed first.  The backward is timed on caches computed once.  Each
 figure is the median of REPEATS calls with its quartiles in brackets, in
 ms: with several BLAS threads on few cores single calls can stall, which
-shows as a wide spread between the quartiles.  The BLAS thread setting is printed as
-found and never changed.
+shows as a wide spread between the quartiles.  The BLAS thread setting is
+printed as found and never changed.
 """
 
 import os
@@ -21,6 +27,9 @@ import time
 import numpy as np
 
 from noisylab import kernels
+from noisylab.data import corpus_windows
+from noisylab.embeddings import Vocabulary
+from noisylab.toydata import generate_splits
 
 SIZES = (
     (32, 7, 16, 24),
@@ -31,6 +40,8 @@ SIZES = (
 )
 
 REPEATS = 15
+SPLIT_SEED = 9
+EVAL_BATCH = 512
 
 
 def make_inputs(rng, b, t, e, h):
@@ -39,6 +50,32 @@ def make_inputs(rng, b, t, e, h):
     w_rec = rng.standard_normal((h, 4 * h)) / np.sqrt(h)
     bias = np.zeros(4 * h)
     return x, w_in, w_rec, bias
+
+
+def dev_windows(seed):
+    """Distinct windows (sorted, as ``predict_split`` scores them) of the
+    toy dev split for ``seed``, the split's window count, and its vocab size."""
+    dev = generate_splits(seed)[1]
+    vocab = Vocabulary(sorted(set(dev.all_tokens())))
+    ids = corpus_windows(dev, vocab, "dev").token_ids
+    return np.unique(ids, axis=0), ids.shape[0], vocab.size
+
+
+def distinct_prefixes(rows):
+    """Distinct prefixes of lengths 1..T of ``rows``."""
+    return sum(len(np.unique(rows[:, :t], axis=0)) for t in range(1, rows.shape[1] + 1))
+
+
+def report_sharing(rows, n_windows):
+    chunks = [rows[s:s + EVAL_BATCH] for s in range(0, len(rows), EVAL_BATCH)]
+    print(f"dev split (toydata seed {SPLIT_SEED}): {n_windows} windows, "
+          f"{len(rows)} distinct, {len(np.unique(rows))} distinct tokens")
+    print(f"  cell steps per direction at 7 steps: {rows.size} one per token "
+          f"position; {distinct_prefixes(rows)} distinct prefixes, "
+          f"{distinct_prefixes(rows[:, ::-1])} distinct suffixes over the split; "
+          f"{sum(distinct_prefixes(c) for c in chunks)} prefixes, "
+          f"{sum(distinct_prefixes(c[:, ::-1]) for c in chunks)} suffixes "
+          f"within its {len(chunks)} chunks of {EVAL_BATCH}")
 
 
 def time_ms(fn):
@@ -59,6 +96,8 @@ COLUMNS = ("fwd", "bwd", "fwd+bwd", "predict 7", "predict 4")
 def main():
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')} "
           f"cpus={os.cpu_count()} numpy={np.__version__} dtype=float64")
+    rows, n_windows, vocab_size = dev_windows(SPLIT_SEED)
+    report_sharing(rows, n_windows)
     rng = np.random.default_rng(0)
     header = f"{'size (B,T,E,H)':>20} " + " ".join(f"{c + ' ms':>26}" for c in COLUMNS)
     print(header)
@@ -67,6 +106,8 @@ def main():
         x, w_in, w_rec, bias = make_inputs(rng, *size)
         dh = rng.standard_normal((size[0], size[1], size[3]))
         caches = kernels.lstm_forward(x, w_in, w_rec, bias)
+        table = rng.standard_normal((vocab_size, size[2]))
+        ids = rows[:size[0]]
 
         def train_step():
             fresh = kernels.lstm_forward(x, w_in, w_rec, bias)
@@ -76,8 +117,8 @@ def main():
             time_ms(lambda: kernels.lstm_forward(x, w_in, w_rec, bias)),
             time_ms(lambda: kernels.lstm_backward(x, w_in, w_rec, *caches, dh, True)),
             time_ms(train_step),
-            time_ms(lambda: kernels.lstm_last_hidden(x, w_in, w_rec, bias, 7)),
-            time_ms(lambda: kernels.lstm_last_hidden(x, w_in, w_rec, bias, 4)),
+            time_ms(lambda: kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, 7)),
+            time_ms(lambda: kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, 4)),
         )
         print(f"{str(size):>20} " + " ".join(f"{f:>26}" for f in figures))
 

@@ -9,6 +9,15 @@ import numpy as np
 from .model import LabelSet
 
 
+# keys whose value selects a code path: a value outside these would
+# silently take the default path, so it is rejected instead
+CHOICES = {
+    "dtype": ("float32", "float64"),
+    "noisy_scope": ("rest", "all"),
+    "noisy_source": ("channel", "gazetteer"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     # run identity
@@ -51,6 +60,13 @@ class ExperimentConfig:
     alpha: float = 1.0  # confusion smoothing
     noisy_factor: float = 1.0  # |subsample| = round(factor * |C|)
     pretrain_epochs: int = 5  # noise-adaptation-model initialization
+
+    def __post_init__(self):
+        for key, allowed in CHOICES.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValueError(
+                    f"{key} = {value!r} is not one of {', '.join(allowed)}")
 
     @property
     def numpy_dtype(self):

@@ -1,11 +1,13 @@
 """LSTM sequence kernels in plain numpy: the training scan with its
 backward pass, and a prediction scan that keeps no caches.
 
-Both scans compute the input projection ``x @ w_in + bias`` for every
-step as one GEMM before the time loop, leaving one recurrent GEMM per
-step (Appleyard et al., *Optimizing Performance of RNNs on GPUs*,
-arXiv 1604.01946), and both advance the cell through ``_cell_step``, so
-the LSTM equations are written once.
+Both scans compute the input projection ``x @ w_in + bias`` as one GEMM
+before the time loop, leaving one recurrent GEMM per step (Appleyard et
+al., *Optimizing Performance of RNNs on GPUs*, arXiv 1604.01946), and both
+advance the cell through ``_cell_step``, so the LSTM equations are written
+once.  The training scan projects every step of every row; the prediction
+scan projects each distinct token once and advances each distinct prefix
+of its rows once.
 
 Gate layout along the last axis of the packed weight matrices is
 (input, forget, cell, output), each block of width H.  Internally the
@@ -18,14 +20,13 @@ stay float32.
 import numpy as np
 
 
-def _input_projection(x, w_in, bias, steps):
-    """Pre-activations ``x[:, :steps] @ w_in + bias`` as one GEMM, time-major
-    (steps, B, 4H)."""
-    B, _, E = x.shape
-    xs = np.ascontiguousarray(x[:, :steps].transpose(1, 0, 2)).reshape(steps * B, E)
+def _input_projection(x, w_in, bias):
+    """Pre-activations ``x @ w_in + bias`` as one GEMM, time-major (T, B, 4H)."""
+    B, T, E = x.shape
+    xs = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(T * B, E)
     a = np.dot(xs, w_in)
     a += bias
-    return a.reshape(steps, B, -1)
+    return a.reshape(T, B, -1)
 
 
 def _cell_step(a, c_prev, c, tc, h):
@@ -62,7 +63,7 @@ def lstm_forward(x, w_in, w_rec, bias):
     """
     B, T, _ = x.shape
     H = w_rec.shape[0]
-    gates = _input_projection(x, w_in, bias, T)
+    gates = _input_projection(x, w_in, bias)
     h_tm = np.empty((T, B, H), x.dtype)
     c_all = np.empty((T, B, H), x.dtype)
     tc_all = np.empty((T, B, H), x.dtype)
@@ -77,27 +78,51 @@ def lstm_forward(x, w_in, w_rec, bias):
     return h_tm.transpose(1, 0, 2), c_all, tc_all, gates
 
 
-def lstm_last_hidden(x, w_in, w_rec, bias, steps):
-    """Hidden state (B, H) of the same scan after its first ``steps`` steps.
+def lstm_last_hidden(table, ids, w_in, w_rec, bias, steps):
+    """Hidden state (B, H) of the same scan over ``table[ids]`` (ids (B, T)
+    in scan order) after its first ``steps`` steps.
 
-    For prediction: nothing is cached, and gates are computed in place in
-    the projection of the steps actually scanned.
+    For prediction: nothing is cached.  The state after t tokens depends
+    only on those t tokens, so each distinct token is projected once (one
+    GEMM, then ``bias``) and each distinct prefix is advanced once.  The
+    rows are sorted once; level t holds the distinct prefixes of length
+    t + 1, and its recurrent term is one GEMM over the distinct prefixes
+    of level t - 1, gathered by parent.
     """
-    B, T, _ = x.shape
+    B, T = ids.shape
     if not 1 <= steps <= T:
         raise ValueError(f"steps {steps} outside 1..{T}")
     H = w_rec.shape[0]
-    pre = _input_projection(x, w_in, bias, steps)
-    c = np.zeros((B, H), x.dtype)
-    tc = np.empty((B, H), x.dtype)
-    h = np.empty((B, H), x.dtype)
-    rec = np.empty((B, 4 * H), x.dtype)
+    ids = ids[:, :steps]
+    tokens, tok = np.unique(ids, return_inverse=True)
+    proj = np.dot(table[tokens], w_in)
+    proj += bias
+    order = np.lexsort(ids.T[::-1])
+    tok = tok.reshape(B, steps)[order]
+    # new[r, t]: sorted row r starts a prefix of length t + 1 that the row
+    # before it does not share; prefix[r, t] is that prefix's index in level t
+    new = np.empty((B, steps), bool)
+    new[:1] = True
+    np.not_equal(tok[1:], tok[:-1], out=new[1:])
+    np.logical_or.accumulate(new, axis=1, out=new)
+    prefix = np.cumsum(new, axis=0)
+    prefix -= 1
+    tc_buf = np.empty((B, H), table.dtype)
+    h_buf = np.empty((B, H), table.dtype)
     for t in range(steps):
-        a = pre[t]
-        if t > 0:
-            a += np.dot(h, w_rec, out=rec)
-        _cell_step(a, c, c, tc, h)
-    return h
+        first = np.flatnonzero(new[:, t])
+        a = proj[tok[first, t]]
+        if t == 0:
+            c = np.zeros((first.size, H), table.dtype)
+        else:
+            parent = prefix[first, t - 1]
+            a += np.dot(h, w_rec)[parent]
+            c = c[parent]
+        h = h_buf[:first.size]
+        _cell_step(a, c, c, tc_buf[:first.size], h)
+    out = np.empty((B, H), table.dtype)
+    out[order] = h[prefix[:, -1]]
+    return out
 
 
 def lstm_backward(x, w_in, w_rec, h_all, c_all, tc_all, gates, dh_all, need_dx):

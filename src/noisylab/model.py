@@ -192,15 +192,18 @@ class WindowClassifier:
     def infer_features(self, token_ids):
         """Graph-free replica of :meth:`features` for prediction paths.
 
-        Each direction scans only up to its pooled step and keeps no caches.
+        Each direction scans only up to its pooled step, keeps no caches,
+        and evaluates each distinct token and window prefix once.
         """
-        x = self.embedding.values[np.atleast_2d(token_ids)]
+        ids = np.atleast_2d(token_ids)
+        table = self.embedding.values
         step_f, step_b = self._pool_steps()
         hf = kernels.lstm_last_hidden(
-            x, self.fw_in.values, self.fw_rec.values, self.fw_bias.values, step_f + 1)
+            table, ids, self.fw_in.values, self.fw_rec.values, self.fw_bias.values,
+            step_f + 1)
         hb = kernels.lstm_last_hidden(
-            x[:, ::-1], self.bw_in.values, self.bw_rec.values, self.bw_bias.values,
-            WINDOW_SIZE - step_b)
+            table, ids[:, ::-1], self.bw_in.values, self.bw_rec.values,
+            self.bw_bias.values, WINDOW_SIZE - step_b)
         return np.concatenate([hf, hb], axis=1)
 
     def infer_probs(self, token_ids):

@@ -29,7 +29,12 @@ from .model import (
     noisy_forward,
     one_hot,
 )
-from .noise import estimate_confusion, identity_init, init_noise_weights
+from .noise import (
+    estimate_confusion,
+    identity_init,
+    init_noise_weights,
+    prediction_confusion_init,
+)
 from .optim import Adam
 from .rng import substream
 
@@ -188,11 +193,12 @@ def _clean_noisy_labels(model, cleaner, noisy_split, indices, k, eval_batch):
     to a distribution and its argmax is used; rows that clip to all zero
     fall back to the observed noisy label."""
     ids, z = noisy_split.take(indices, "z")
+    dtype = cleaner.proj_w.values.dtype
     cleaned = np.empty(ids.shape[0], dtype=np.int64)
     for start in range(0, ids.shape[0], eval_batch):
         sl = slice(start, start + eval_batch)
         feats = model.infer_features(ids[sl])
-        vec = cleaner.infer(feats, one_hot(z[sl], k))
+        vec = cleaner.infer(feats, one_hot(z[sl], k, dtype=dtype))
         sums = vec.sum(axis=1)
         out = np.argmax(vec, axis=1)
         dead = sums <= 0.0
@@ -243,8 +249,7 @@ def _init_noise_matrix(variant, model, data, config, trial_seed):
             rng = substream(trial_seed, "shuffle", "pretrain", epoch)
             _supervised_pass(model, ids, z, opt, rng, config.batch_size)
         preds = predict_split(model, data.noisy, config.eval_batch_size)
-        counts = estimate_confusion(preds, z, k)
-        return NoiseMatrix(init_noise_weights(counts, config.alpha), dtype=dtype)
+        return NoiseMatrix(prediction_confusion_init(preds, z, k, config.alpha), dtype=dtype)
     return None
 
 
@@ -380,9 +385,7 @@ def run_trials(spec, data: SplitDataset, config, n_seeds=None,
                       metrics_sink=metrics_sink)
         for i in range(n)
     ]
-    f1s = np.array([t.test_f1 for t in trials])
-    mean = float(f1s.mean())
-    se = float(f1s.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    mean, se = mean_and_se([t.test_f1 for t in trials])
     return TrialsSummary(
         variant=spec.name,
         mean_f1=mean,

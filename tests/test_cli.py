@@ -208,6 +208,18 @@ class TestNonFiniteExit:
         assert "Traceback" not in err
 
 
+class TestConfigRejected:
+    def test_misspelt_dtype_exits_2_with_message(self, tiny_config_text, tmp_path, capsys):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(tiny_config_text.replace("dtype = float64", "dtype = flaot32"),
+                       encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: dtype = 'flaot32' is not one of float32, float64" in err
+        assert not (tmp_path / "run").exists()
+
+
 class TestSweepCommand:
     def test_sweep_emits_table(self, toy_dir, tiny_config_text, tmp_path):
         cfg_text = tiny_config_text.replace(f"epochs = {TINY_EPOCHS}", "epochs = 2")

@@ -1,6 +1,8 @@
 """CoNLL parsing and writing, embedding files, configs, and clean-subset
 sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,24 @@ class TestExperimentConfig:
     def test_label_set(self):
         config = ExperimentConfig(labels="O,A,B")
         assert config.label_set().classes == ("O", "A", "B")
+
+    @pytest.mark.parametrize("key, bad, good", [
+        ("dtype", "flaot32", "float32"),
+        ("noisy_scope", "al", "all"),
+        ("noisy_source", "gazeteer", "gazetteer"),
+    ])
+    def test_misspelt_choice_rejected(self, key, bad, good):
+        allowed = {"dtype": "float32, float64", "noisy_scope": "rest, all",
+                   "noisy_source": "channel, gazetteer"}[key]
+        for make in (lambda v: ExperimentConfig(**{key: v}),
+                     lambda v: ExperimentConfig.from_text(f"{key} = {v}\n")):
+            with pytest.raises(ValueError) as err:
+                make(bad)
+            assert key in str(err.value) and repr(bad) in str(err.value)
+            assert allowed in str(err.value)
+            assert getattr(make(good), key) == good
+        with pytest.raises(ValueError):
+            dataclasses.replace(ExperimentConfig(), **{key: bad})
 
 
 class TestCheckpointDtype:

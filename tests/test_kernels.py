@@ -45,6 +45,20 @@ def test_forward_matches_straight_line_oracle():
     np.testing.assert_allclose(h_all, oracle_forward(x, w_in, w_rec, bias), atol=1e-12)
 
 
+def make_window_inputs(rng, b=3, t=7, e=4, h=3, vocab=12):
+    """An embedding table, token ids (b, t) into it, and LSTM weights."""
+    table = rng.standard_normal((vocab, e))
+    ids = rng.integers(0, vocab, size=(b, t))
+    w_in = rng.standard_normal((e, 4 * h)) * 0.5
+    w_rec = rng.standard_normal((h, 4 * h)) * 0.5
+    bias = rng.standard_normal(4 * h) * 0.1
+    return table, ids, w_in, w_rec, bias
+
+
+def oracle_last_hidden(table, ids, w_in, w_rec, bias, steps):
+    return oracle_forward(table[ids], w_in, w_rec, bias)[:, steps - 1, :]
+
+
 # (forward steps, backward steps) scanned for the pooled state of a
 # 7-token window: "final" pooling reads both directions after the whole
 # window, "center" pooling reads both at the middle token
@@ -55,11 +69,10 @@ POOLED_STEPS = {"final": (7, 7), "center": (4, 4)}
 @pytest.mark.parametrize("b", [1, 5])
 def test_last_hidden_equals_training_scan_at_pooled_step(pooling, b):
     rng = np.random.default_rng(5)
-    x, w_in, w_rec, bias = make_inputs(rng, b=b, t=7, e=4, h=3)
-    xr = x[:, ::-1, :]
-    for steps, seq in zip(POOLED_STEPS[pooling], (x, xr)):
-        h_all = kernels.lstm_forward(np.ascontiguousarray(seq), w_in, w_rec, bias)[0]
-        h_last = kernels.lstm_last_hidden(seq, w_in, w_rec, bias, steps)
+    table, ids, w_in, w_rec, bias = make_window_inputs(rng, b=b, t=7, e=4, h=3)
+    for steps, seq in zip(POOLED_STEPS[pooling], (ids, ids[:, ::-1])):
+        h_all = kernels.lstm_forward(table[seq], w_in, w_rec, bias)[0]
+        h_last = kernels.lstm_last_hidden(table, seq, w_in, w_rec, bias, steps)
         assert h_last.shape == (b, 3)
         np.testing.assert_array_equal(h_last, h_all[:, steps - 1, :])
 
@@ -67,26 +80,141 @@ def test_last_hidden_equals_training_scan_at_pooled_step(pooling, b):
 @pytest.mark.parametrize("steps", [1, 4, 7])
 def test_last_hidden_matches_straight_line_oracle(steps):
     rng = np.random.default_rng(6)
-    x, w_in, w_rec, bias = make_inputs(rng, b=4, t=7, e=5, h=4)
-    expected = oracle_forward(x, w_in, w_rec, bias)[:, steps - 1, :]
-    got = kernels.lstm_last_hidden(x, w_in, w_rec, bias, steps)
+    table, ids, w_in, w_rec, bias = make_window_inputs(rng, b=4, t=7, e=5, h=4)
+    expected = oracle_last_hidden(table, ids, w_in, w_rec, bias, steps)
+    got = kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, steps)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_last_hidden_keeps_float32():
     rng = np.random.default_rng(7)
-    x, w_in, w_rec, bias = (a.astype(np.float32) for a in make_inputs(rng, t=7))
-    h = kernels.lstm_last_hidden(x, w_in, w_rec, bias, 4)
+    table, ids, w_in, w_rec, bias = make_window_inputs(rng, t=7)
+    table, w_in, w_rec, bias = (a.astype(np.float32) for a in (table, w_in, w_rec, bias))
+    h = kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, 4)
     assert h.dtype == np.float32
-    expected = oracle_forward(*(a.astype(np.float64) for a in (x, w_in, w_rec, bias)))
-    np.testing.assert_allclose(h, expected[:, 3, :], atol=1e-5)
+    table, w_in, w_rec, bias = (a.astype(np.float64) for a in (table, w_in, w_rec, bias))
+    expected = oracle_last_hidden(table, ids, w_in, w_rec, bias, 4)
+    np.testing.assert_allclose(h, expected, atol=1e-5)
 
 
 @pytest.mark.parametrize("steps", [0, 8])
 def test_last_hidden_rejects_steps_outside_window(steps):
-    x, w_in, w_rec, bias = make_inputs(np.random.default_rng(8), t=7)
+    table, ids, w_in, w_rec, bias = make_window_inputs(np.random.default_rng(8), t=7)
     with pytest.raises(ValueError):
-        kernels.lstm_last_hidden(x, w_in, w_rec, bias, steps)
+        kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, steps)
+
+
+@pytest.fixture
+def cell_rows(monkeypatch):
+    """Rows advanced by each ``_cell_step`` call, in call order."""
+    rows = []
+    step = kernels._cell_step
+
+    def counted(a, *args):
+        rows.append(a.shape[0])
+        return step(a, *args)
+
+    monkeypatch.setattr(kernels, "_cell_step", counted)
+    return rows
+
+
+def test_last_hidden_all_rows_identical(cell_rows):
+    rng = np.random.default_rng(12)
+    table, ids, w_in, w_rec, bias = make_window_inputs(rng, b=1, t=7)
+    rows = np.repeat(ids, 6, axis=0)
+    for steps in (1, 4, 7):
+        alone = kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, steps)
+        cell_rows.clear()
+        got = kernels.lstm_last_hidden(table, rows, w_in, w_rec, bias, steps)
+        assert cell_rows == [1] * steps
+        np.testing.assert_array_equal(got, np.repeat(alone, 6, axis=0))
+        np.testing.assert_allclose(
+            got, oracle_last_hidden(table, rows, w_in, w_rec, bias, steps), rtol=0, atol=1e-12)
+
+
+def test_last_hidden_rows_sharing_only_prefixes(cell_rows):
+    rng = np.random.default_rng(13)
+    table, _, w_in, w_rec, bias = make_window_inputs(rng, vocab=60)
+    # two groups of three rows: a group shares its first four tokens, and
+    # no two rows share any later token; neighbouring rows are from
+    # different groups, and so are rows next to each other by last token
+    a, b = [1, 2, 3, 4], [5, 2, 3, 4]
+    ids = np.array([
+        a + [10, 11, 12], b + [20, 21, 22],
+        a + [30, 31, 32], b + [40, 41, 42],
+        a + [50, 51, 52], b + [54, 55, 56],
+    ])
+    for steps in (3, 4, 5, 7):
+        cell_rows.clear()
+        got = kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, steps)
+        assert cell_rows == [2] * min(steps, 4) + [6] * (steps - 4)
+        np.testing.assert_allclose(
+            got, oracle_last_hidden(table, ids, w_in, w_rec, bias, steps), rtol=0, atol=1e-12)
+
+
+def test_last_hidden_rows_sharing_only_suffixes(cell_rows):
+    # suffixes are what the backward direction shares, as prefixes of the
+    # reversed rows; the forward direction shares nothing
+    rng = np.random.default_rng(14)
+    table, _, w_in, w_rec, bias = make_window_inputs(rng, vocab=60)
+    # six rows with the same last four tokens and no other token in common
+    ids = np.hstack([20 + np.arange(18).reshape(6, 3), np.tile([7, 8, 9, 10], (6, 1))])
+    shared_steps = {"forward": 0, "backward": 4}
+    for direction, seq in (("forward", ids), ("backward", ids[:, ::-1])):
+        for steps in (3, 4, 5, 7):
+            cell_rows.clear()
+            got = kernels.lstm_last_hidden(table, seq, w_in, w_rec, bias, steps)
+            shared = min(steps, shared_steps[direction])
+            assert cell_rows == [1] * shared + [6] * (steps - shared)
+            np.testing.assert_allclose(
+                got, oracle_last_hidden(table, seq, w_in, w_rec, bias, steps),
+                rtol=0, atol=1e-12)
+
+
+def test_last_hidden_single_row():
+    rng = np.random.default_rng(15)
+    table, ids, w_in, w_rec, bias = make_window_inputs(rng, b=1, t=7)
+    for steps in (1, 4, 7):
+        got = kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, steps)
+        assert got.shape == (1, 3)
+        h_all = kernels.lstm_forward(table[ids], w_in, w_rec, bias)[0]
+        np.testing.assert_array_equal(got, h_all[:, steps - 1, :])
+        np.testing.assert_allclose(
+            got, oracle_last_hidden(table, ids, w_in, w_rec, bias, steps), rtol=0, atol=1e-12)
+
+
+def test_last_hidden_empty_batch():
+    table, ids, w_in, w_rec, bias = make_window_inputs(np.random.default_rng(18), t=7)
+    got = kernels.lstm_last_hidden(table, ids[:0], w_in, w_rec, bias, 7)
+    assert got.shape == (0, 3)
+
+
+def test_last_hidden_permuted_rows_give_permuted_output():
+    rng = np.random.default_rng(16)
+    table, ids, w_in, w_rec, bias = make_window_inputs(rng, b=40, t=7, vocab=4)
+    ids[10:20] = ids[:10]  # repeated rows as well as shared prefixes
+    perm = rng.permutation(len(ids))
+    for seq in (ids, ids[:, ::-1]):
+        for steps in (1, 4, 7):
+            got = kernels.lstm_last_hidden(table, seq, w_in, w_rec, bias, steps)
+            permuted = kernels.lstm_last_hidden(table, seq[perm], w_in, w_rec, bias, steps)
+            np.testing.assert_array_equal(permuted, got[perm])
+
+
+def test_last_hidden_random_shapes_match_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        e, h = (int(v) for v in rng.integers(1, 41, size=2))
+        b = int(rng.integers(1, 701))
+        vocab = int(rng.integers(1, 80))
+        table, ids, w_in, w_rec, bias = make_window_inputs(rng, b=b, t=7, e=e, h=h, vocab=vocab)
+        steps = int(rng.integers(1, 8))
+        for seq in (ids, ids[:, ::-1]):
+            got = kernels.lstm_last_hidden(table, seq, w_in, w_rec, bias, steps)
+            assert got.shape == (b, h)
+            np.testing.assert_allclose(
+                got, oracle_last_hidden(table, seq, w_in, w_rec, bias, steps),
+                rtol=0, atol=1e-12)
 
 
 def oracle_backward(x, w_in, w_rec, h_all, c_all, tc_all, gates, dh_all):

@@ -8,7 +8,7 @@ import pytest
 
 from noisylab.config import ExperimentConfig
 from noisylab.data import prepare
-from noisylab.model import NoiseMatrix
+from noisylab.model import CleaningNetwork, NoiseMatrix
 from noisylab.optim import Adam
 from noisylab.rng import substream
 from noisylab.toydata import generate_corpus
@@ -243,6 +243,22 @@ class TestTrainVariant:
         result = train_variant("noise-model", data, config, trial_seed=0)
         assert np.isfinite(result.test_f1)
         np.testing.assert_allclose(result.theta.sum(axis=1), 1.0, atol=1e-6)
+
+    def test_float32_cleaner_stays_float32(self, corpora, monkeypatch):
+        config = dataclasses.replace(TINY, dtype="float32", epochs=1)
+        data = fresh_data(corpora, config)
+        seen = []
+        infer = CleaningNetwork.infer
+
+        def spy(self, features, noisy_onehot):
+            out = infer(self, features, noisy_onehot)
+            seen.append((features.dtype, noisy_onehot.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(CleaningNetwork, "infer", spy)
+        train_variant("noise-cleaning-model", data, config, trial_seed=0)
+        assert seen
+        assert all(dtypes == (np.float32,) * 3 for dtypes in seen), seen
 
     def test_noise_model_with_noiseless_copies_beats_base_model(self, corpora):
         # when N carries the true labels, the extra data cannot hurt
