@@ -1,5 +1,5 @@
 """Time the LSTM kernels: the training scan (forward, backward alone and
-forward+backward) and the cache-free prediction scan.
+forward+backward) and the cache-free prediction scan; then one Adam step.
 
 Usage: python3 benchmarks/bench_kernels.py
 
@@ -19,9 +19,17 @@ figure is the median of REPEATS calls with its quartiles in brackets, in
 ms: with several BLAS threads on few cores single calls can stall, which
 shows as a wide spread between the quartiles.  The BLAS thread setting is
 printed as found and never changed.
+
+The Adam step runs over the classifier's parameters at the acceptance
+size (E=16, H=24, dense 16) and the paper's size (E=H=300, dense 100),
+with the same random gradients written into the gradient buffers before
+each step, outside the timing.  Next to its time it prints the minor page
+faults per step, read with ``resource.getrusage`` on this process around
+each step.
 """
 
 import os
+import resource
 import time
 
 import numpy as np
@@ -29,6 +37,8 @@ import numpy as np
 from noisylab import kernels
 from noisylab.data import corpus_windows
 from noisylab.embeddings import Vocabulary
+from noisylab.model import WindowClassifier
+from noisylab.optim import Adam
 from noisylab.toydata import generate_splits
 
 SIZES = (
@@ -39,7 +49,15 @@ SIZES = (
     (512, 7, 300, 300),
 )
 
+# (embed dim, state size, dense size) of the classifier whose parameters
+# one Adam step updates
+ADAM_SIZES = (
+    (16, 24, 16),
+    (300, 300, 100),
+)
+
 REPEATS = 15
+ADAM_STEPS = 60
 SPLIT_SEED = 9
 EVAL_BATCH = 512
 
@@ -90,6 +108,32 @@ def time_ms(fn):
     return f"{median:.3f} [{q1:.3f}, {q3:.3f}]"
 
 
+def time_adam_step(rng, e, h, dense):
+    """'median [q1, q3]' ms of ADAM_STEPS Adam steps over the classifier's
+    parameters, the minor page faults per step, and the parameter count."""
+    model = WindowClassifier(rng.standard_normal((10, e)), k=5, hidden_size=h,
+                             dense_size=dense)
+    params = model.parameters()
+    opt = Adam(params)
+    grads = [rng.standard_normal(p.shape) for p in params]
+    times = []
+    faults = 0
+    for step in range(ADAM_STEPS + 1):
+        for p, g in zip(params, grads):
+            p.grad[...] = g
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        opt.step()
+        elapsed = time.perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        if step:  # the first step is warmup
+            times.append(elapsed)
+            faults += after - before
+    q1, median, q3 = 1e3 * np.percentile(times, [25, 50, 75])
+    n_params = sum(p.values.size for p in params)
+    return f"{median:.3f} [{q1:.3f}, {q3:.3f}]", faults / ADAM_STEPS, n_params
+
+
 COLUMNS = ("fwd", "bwd", "fwd+bwd", "predict 7", "predict 4")
 
 
@@ -121,6 +165,14 @@ def main():
             time_ms(lambda: kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, 4)),
         )
         print(f"{str(size):>20} " + " ".join(f"{f:>26}" for f in figures))
+    print()
+    header = (f"{'Adam (E,H,dense)':>20} {'parameters':>11} {'step ms':>26} "
+              f"{'minor faults/step':>18}")
+    print(header)
+    print("-" * len(header))
+    for size in ADAM_SIZES:
+        figure, faults, n_params = time_adam_step(rng, *size)
+        print(f"{str(size):>20} {n_params:>11} {figure:>26} {faults:>18.1f}")
 
 
 if __name__ == "__main__":

@@ -32,9 +32,13 @@ class NonFiniteError(FloatingPointError):
 class Tensor:
     """Dense array with a gradient slot and an optional graph history."""
 
+    # the optim.ParameterPack whose buffers hold this tensor's values and
+    # gradient, once an optimizer has packed it
+    _pack = None
+
     def __init__(self, values, requires_grad=False, _parents=(), _backward=None, _op="leaf"):
         values = np.asarray(values)
-        if not np.issubdtype(values.dtype, np.floating):
+        if values.dtype.kind != "f":
             values = values.astype(DEFAULT_DTYPE)
         self.values = values
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
@@ -55,10 +59,8 @@ class Tensor:
 
     @grad.setter
     def grad(self, value):
-        value = np.asarray(value, dtype=self.values.dtype)
-        if value.shape != self.values.shape:
-            value = value.reshape(self.values.shape)
-        self._grad = value
+        # written into the existing buffer, which may be a view into a pack
+        self.grad[...] = np.reshape(value, self.values.shape)
 
     def zero_grad(self):
         if self._grad is not None:

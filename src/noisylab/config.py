@@ -17,6 +17,27 @@ CHOICES = {
     "noisy_source": ("channel", "gazetteer"),
 }
 
+# numeric keys outside these ranges would fail late or train nothing
+BOUNDS = {
+    "> 0": lambda x: x > 0,
+    ">= 0": lambda x: x >= 0,
+    "in [0, 1)": lambda x: 0 <= x < 1,
+}
+RANGES = {
+    "n_seeds": "> 0",
+    "clean_budget": "> 0",
+    "epochs": "> 0",
+    "batch_size": "> 0",
+    "eval_batch_size": "> 0",
+    "pretrain_epochs": ">= 0",
+    "learning_rate": "> 0",
+    "epsilon": "> 0",
+    "beta1": "in [0, 1)",
+    "beta2": "in [0, 1)",
+    "noisy_factor": ">= 0",
+    "alpha": ">= 0",
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -67,6 +88,10 @@ class ExperimentConfig:
             if value not in allowed:
                 raise ValueError(
                     f"{key} = {value!r} is not one of {', '.join(allowed)}")
+        for key, bound in RANGES.items():
+            value = getattr(self, key)
+            if not BOUNDS[bound](value):
+                raise ValueError(f"{key} = {value!r} must be {bound}")
 
     @property
     def numpy_dtype(self):

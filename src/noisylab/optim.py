@@ -1,44 +1,121 @@
-"""Adam optimizer with bias correction."""
+"""Adam optimizer with bias correction, over one flat parameter store."""
 
 import numpy as np
 
-from .autodiff import NonFiniteError
+from .autodiff import DEFAULT_DTYPE, NonFiniteError
+
+# Elements per block of the update.  One block of the values, gradients,
+# both moments and the scratch (five arrays, 1.25 MB in float64) stays in a
+# core's L2 cache through all of the update's passes over it.  On the
+# paper-size parameters, blocks of 16384 to 65536 took alike; 4096 and one
+# pass over the whole vector were slower.
+BLOCK = 32768
+
+
+class ParameterPack:
+    """The values and the gradients of a list of same-dtype parameters,
+    each held in one contiguous buffer.
+
+    Packing copies each parameter's values, and any gradient it holds, into
+    the buffers in list order and rebinds the tensor to views of them, with
+    its shape and memory order kept.  The tensors' old arrays are then free.
+    """
+
+    def __init__(self, params):
+        dtypes = sorted({p.values.dtype.name for p in params})
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam: parameters of mixed dtypes {', '.join(dtypes)}")
+        dtype = dtypes[0] if dtypes else DEFAULT_DTYPE
+        if len({id(p) for p in params}) != len(params):
+            raise ValueError("Adam: a parameter is listed twice")
+        # ids rather than the tensors: the tensors refer to the pack, and a
+        # reference cycle would keep a finished run's buffers alive until
+        # the cycle collector ran
+        self.ids = tuple(id(p) for p in params)
+        self.offsets = np.cumsum([0] + [p.values.size for p in params])
+        self.layout = [
+            (int(start), int(stop), p.values.shape,
+             "F" if p.values.flags.f_contiguous and not p.values.flags.c_contiguous else "C")
+            for start, stop, p in zip(self.offsets, self.offsets[1:], params)
+        ]
+        self.values = np.empty(self.offsets[-1], dtype=dtype)
+        self.grads = np.zeros(self.offsets[-1], dtype=dtype)
+        for p, values, grad in zip(params, self.views(self.values), self.views(self.grads)):
+            values[...] = p.values
+            if p._grad is not None:
+                grad[...] = p._grad
+            p.values, p._grad, p._pack = values, grad, self
+
+    def views(self, flat):
+        """One view of ``flat`` per parameter, laid out as the parameter is."""
+        return [flat[start:stop].reshape(shape, order=order)
+                for start, stop, shape, order in self.layout]
+
+
+def _pack(params):
+    """The pack that holds exactly ``params``, in this order, or a new one
+    if none of them is packed yet.  Packing a parameter again would detach
+    it from the optimizer that packed it first, so that raises."""
+    if params and params[0]._pack is not None:
+        pack = params[0]._pack
+        if all(p._pack is pack for p in params) and tuple(map(id, params)) == pack.ids:
+            return pack
+    for i, p in enumerate(params):
+        if p._pack is not None:
+            raise ValueError(
+                f"Adam: parameter {i} of shape {p.shape} is already packed with other "
+                f"parameters; optimizers may share only exactly the same parameter list")
+    return ParameterPack(params)
 
 
 class Adam:
-    """Standard Adam over a list of parameter tensors.
+    """Standard Adam over a list of parameter tensors of one dtype.
 
-    Holds per-parameter first and second moments and a shared step count.
-    ``step()`` applies one update and zeroes the gradients afterward.
+    The parameters are packed into one flat store (see ``ParameterPack``);
+    optimizers given exactly the same list in the same order share it, each
+    with its own moments.  ``step()`` applies one update and zeroes the
+    gradients.
     """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
+        self.pack = _pack(self.params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.first_moment = [np.zeros_like(p.values) for p in self.params]
-        self.second_moment = [np.zeros_like(p.values) for p in self.params]
+        self._m = np.zeros_like(self.pack.values)
+        self._v = np.zeros_like(self.pack.values)
+        self.first_moment = self.pack.views(self._m)
+        self.second_moment = self.pack.views(self._v)
+        self._scratch = np.empty(min(BLOCK, self._m.size), dtype=self._m.dtype)
 
     def step(self):
-        """One update of every parameter, computed in place.
+        """One update of every parameter, computed in place block by block.
 
-        The operations and their order are those of the textbook update, so
-        the result is bit-identical to it.  Each parameter's update goes
-        through one scratch array made for it and the gradient itself,
-        which is zeroed at the end anyway; no scratch outlives the step.
+        Each element goes through the textbook operations in the textbook
+        order, so the result is bit-identical to the plain formula.  The
+        gradients are checked before anything is written; each block's
+        gradient serves as scratch and is zeroed at the end of its block.
         """
-        self.step_count += 1
-        t = self.step_count
-        for i, (p, m, v) in enumerate(zip(self.params, self.first_moment, self.second_moment)):
-            g = p.grad
-            if not np.isfinite(g).all():
+        t = self.step_count + 1
+        values, grads = self.pack.values, self.pack.grads
+        # a sum is finite only if every term is; a sum of finite terms can
+        # also overflow, so the exact check runs only when the sum is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = grads.sum()
+        if not np.isfinite(total):
+            bad = np.flatnonzero(~np.isfinite(grads))
+            if bad.size:
+                i = int(np.searchsorted(self.pack.offsets, bad[0], side="right")) - 1
                 raise NonFiniteError(
-                    f"Adam: non-finite gradient in parameter {i} of shape {g.shape} "
-                    f"at step {t}")
-            tmp = np.empty_like(g)
+                    f"Adam: non-finite gradient in parameter {i} of shape "
+                    f"{self.params[i].shape} at step {t}")
+        for start in range(0, grads.size, BLOCK):
+            block = slice(start, start + BLOCK)
+            p, g, m, v = values[block], grads[block], self._m[block], self._v[block]
+            tmp = self._scratch[:g.size]
             np.multiply(1.0 - self.beta1, g, out=tmp)
             m *= self.beta1
             m += tmp
@@ -53,5 +130,6 @@ class Adam:
             np.divide(m, 1.0 - self.beta1 ** t, out=tmp)
             np.multiply(self.lr, tmp, out=tmp)
             tmp /= g
-            p.values -= tmp
-            p.zero_grad()
+            p -= tmp
+            g.fill(0.0)
+        self.step_count = t

@@ -14,12 +14,13 @@ each epoch and then trains the base model on cleaned noisy data plus C.
 """
 
 import dataclasses
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor, absolute_error, cross_entropy
+from .autodiff import NonFiniteError, Tensor, absolute_error, cross_entropy
 from .data import SplitDataset, prepare, split_by_lengths
 from .evaluation import PRFReport, entity_prf
 from .model import (
@@ -229,6 +230,15 @@ def evaluate_split(model, split, label_set, eval_batch):
     return report.overall.f1, report
 
 
+@contextmanager
+def _naming_epoch(epoch, phase):
+    """Prefix a NonFiniteError raised inside with the epoch and the phase."""
+    try:
+        yield
+    except NonFiniteError as err:
+        raise NonFiniteError(f"epoch {epoch} ({phase}): {err}") from err
+
+
 def _init_noise_matrix(variant, model, data, config, trial_seed):
     k = data.k
     dtype = config.numpy_dtype
@@ -247,7 +257,8 @@ def _init_noise_matrix(variant, model, data, config, trial_seed):
         ids, z = data.noisy.take(slice(None), "z")
         for epoch in range(config.pretrain_epochs):
             rng = substream(trial_seed, "shuffle", "pretrain", epoch)
-            _supervised_pass(model, ids, z, opt, rng, config.batch_size)
+            with _naming_epoch(epoch, "pretrain"):
+                _supervised_pass(model, ids, z, opt, rng, config.batch_size)
         preds = predict_split(model, data.noisy, config.eval_batch_size)
         return NoiseMatrix(prediction_confusion_init(preds, z, k, config.alpha), dtype=dtype)
     return None
@@ -295,34 +306,35 @@ def train_variant(spec, data: SplitDataset, config, trial_seed,
     for epoch, phase in enumerate(phases):
         rng = substream(trial_seed, "shuffle", epoch)
         cleaner_loss = None
-        if phase == "clean":
-            loss = train_clean_epoch(model, data.clean, opt_base, rng, config.batch_size)
-        elif phase == "pooled":
-            indices = subsample_noisy(len(data.noisy), subsample_size, trial_seed, epoch)
-            loss = train_pooled_epoch(model, data.clean, data.noisy, indices,
-                                      opt_base, rng, config.batch_size)
-        elif phase == "noisy":
-            indices = subsample_noisy(len(data.noisy), subsample_size, trial_seed, epoch)
-            loss = train_noisy_epoch(model, noise, data.noisy, indices,
-                                     opt_base, opt_noise, rng, config.batch_size)
-        elif phase == "noisy-full":
-            indices = np.arange(len(data.noisy))
-            loss = train_noisy_epoch(model, noise, data.noisy, indices,
-                                     opt_base, opt_noise, rng, config.batch_size)
-        elif phase == "cleaning":
-            cleaner_loss = _train_cleaner_pass(
-                model, cleaner, data.clean, opt_cleaner,
-                substream(trial_seed, "shuffle", epoch, "cleaner"),
-                config.batch_size, k)
-            indices = subsample_noisy(len(data.noisy), subsample_size, trial_seed, epoch)
-            noisy_ids, cleaned = _clean_noisy_labels(
-                model, cleaner, data.noisy, indices, k, config.eval_batch_size)
-            clean_ids, y = data.clean.take(slice(None), "y")
-            ids = np.concatenate([noisy_ids, clean_ids])
-            labels = np.concatenate([cleaned, y])
-            loss = _supervised_pass(model, ids, labels, opt_base, rng, config.batch_size)
-        else:
-            raise ValueError(f"unknown phase {phase!r}")
+        with _naming_epoch(epoch, phase):
+            if phase == "clean":
+                loss = train_clean_epoch(model, data.clean, opt_base, rng, config.batch_size)
+            elif phase == "pooled":
+                indices = subsample_noisy(len(data.noisy), subsample_size, trial_seed, epoch)
+                loss = train_pooled_epoch(model, data.clean, data.noisy, indices,
+                                          opt_base, rng, config.batch_size)
+            elif phase == "noisy":
+                indices = subsample_noisy(len(data.noisy), subsample_size, trial_seed, epoch)
+                loss = train_noisy_epoch(model, noise, data.noisy, indices,
+                                         opt_base, opt_noise, rng, config.batch_size)
+            elif phase == "noisy-full":
+                indices = np.arange(len(data.noisy))
+                loss = train_noisy_epoch(model, noise, data.noisy, indices,
+                                         opt_base, opt_noise, rng, config.batch_size)
+            elif phase == "cleaning":
+                cleaner_loss = _train_cleaner_pass(
+                    model, cleaner, data.clean, opt_cleaner,
+                    substream(trial_seed, "shuffle", epoch, "cleaner"),
+                    config.batch_size, k)
+                indices = subsample_noisy(len(data.noisy), subsample_size, trial_seed, epoch)
+                noisy_ids, cleaned = _clean_noisy_labels(
+                    model, cleaner, data.noisy, indices, k, config.eval_batch_size)
+                clean_ids, y = data.clean.take(slice(None), "y")
+                ids = np.concatenate([noisy_ids, clean_ids])
+                labels = np.concatenate([cleaned, y])
+                loss = _supervised_pass(model, ids, labels, opt_base, rng, config.batch_size)
+            else:
+                raise ValueError(f"unknown phase {phase!r}")
 
         dev_f1, _ = evaluate_split(model, data.dev, data.label_set, config.eval_batch_size)
         dev_history.append(dev_f1)

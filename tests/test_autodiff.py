@@ -189,6 +189,39 @@ class TestBackwardSemantics:
         assert "(2, 3)" in str(err.value)
 
 
+class TestTensorValues:
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_float_input_kept_as_is(self, dtype):
+        values = np.arange(3, dtype=dtype)
+        assert Tensor(values).values is values
+
+    @pytest.mark.parametrize("values", [
+        np.array([-2, 0, 7], dtype=np.int64),
+        np.array([1, 200], dtype=np.uint8),
+        [3, 4],
+        np.array([True, False]),
+        True,
+    ])
+    def test_int_and_bool_become_float64(self, values):
+        t = Tensor(values)
+        assert t.values.dtype == np.float64
+        np.testing.assert_array_equal(t.values, np.asarray(values).astype(np.float64))
+
+    def test_complex_keeps_real_part_as_float64(self):
+        values = np.array([1.5 + 2j, -3 - 1j])
+        with pytest.warns(np.exceptions.ComplexWarning):
+            t = Tensor(values)
+        assert t.values.dtype == np.float64
+        np.testing.assert_array_equal(t.values, [1.5, -3.0])
+
+    def test_grad_setter_writes_into_existing_buffer(self):
+        t = Tensor(np.zeros((2, 3)), requires_grad=True)
+        buffer = t.grad
+        t.grad = np.arange(6)
+        assert t.grad is buffer
+        np.testing.assert_array_equal(buffer, np.arange(6.0).reshape(2, 3))
+
+
 class TestSoftmaxProperties:
     def test_rows_sum_to_one_and_positive(self):
         rng = np.random.default_rng(3)

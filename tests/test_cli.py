@@ -220,6 +220,18 @@ class TestConfigRejected:
         assert not (tmp_path / "run").exists()
 
 
+    def test_zero_eval_batch_size_exits_2_before_training(self, tiny_config_text,
+                                                          tmp_path, capsys):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(tiny_config_text.replace("eval_batch_size = 256",
+                                                "eval_batch_size = 0"), encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: eval_batch_size = 0 must be > 0" in err
+        assert not (tmp_path / "run").exists()
+
+
 class TestSweepCommand:
     def test_sweep_emits_table(self, toy_dir, tiny_config_text, tmp_path):
         cfg_text = tiny_config_text.replace(f"epochs = {TINY_EPOCHS}", "epochs = 2")

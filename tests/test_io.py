@@ -204,6 +204,35 @@ class TestExperimentConfig:
             dataclasses.replace(ExperimentConfig(), **{key: bad})
 
 
+    @pytest.mark.parametrize("key, bad, bound", [
+        ("epochs", 0, "> 0"),
+        ("batch_size", -32, "> 0"),
+        ("eval_batch_size", 0, "> 0"),
+        ("n_seeds", 0, "> 0"),
+        ("clean_budget", 0, "> 0"),
+        ("pretrain_epochs", -1, ">= 0"),
+        ("learning_rate", 0.0, "> 0"),
+        ("epsilon", float("nan"), "> 0"),
+        ("beta1", 1.0, "in [0, 1)"),
+        ("beta2", -0.5, "in [0, 1)"),
+        ("noisy_factor", -1.0, ">= 0"),
+        ("alpha", -0.1, ">= 0"),
+    ])
+    def test_out_of_range_value_rejected(self, key, bad, bound):
+        for make in (lambda: ExperimentConfig(**{key: bad}),
+                     lambda: ExperimentConfig.from_text(f"{key} = {bad}\n"),
+                     lambda: dataclasses.replace(ExperimentConfig(), **{key: bad})):
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == f"{key} = {bad!r} must be {bound}"
+
+    def test_range_edges_accepted(self):
+        config = ExperimentConfig(pretrain_epochs=0, beta1=0.0, beta2=0.0,
+                                  noisy_factor=0.0, alpha=0.0, epochs=1, batch_size=1,
+                                  eval_batch_size=1, n_seeds=1, clean_budget=1)
+        assert ExperimentConfig.from_text(config.to_text()) == config
+
+
 class TestCheckpointDtype:
     def test_float32_checkpoint_reloads_float32(self, tmp_path):
         from noisylab.checkpoint import load_checkpoint, save_checkpoint

@@ -120,3 +120,133 @@ def test_non_finite_message_names_parameter_and_step():
     b.grad = np.full((2, 3), np.inf)
     with pytest.raises(NonFiniteError, match=r"parameter 1 of shape \(2, 3\) at step 2"):
         opt.step()
+
+
+def test_packing_keeps_values_shapes_and_memory_order():
+    start = [np.arange(6.0).reshape(2, 3), np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+             np.array(5.0)]
+    params = [Tensor(s.copy(order="K"), requires_grad=True) for s in start]
+    assert params[1].values.flags.f_contiguous
+    params[1].grad = np.ones((3, 4))
+    opt = Adam(params)
+    for p, s in zip(params, start):
+        assert p.values.base is opt.pack.values
+        assert p.grad.base is opt.pack.grads
+        np.testing.assert_array_equal(p.values, s)
+    assert params[1].values.flags.f_contiguous and params[1].grad.flags.f_contiguous
+    np.testing.assert_array_equal(params[1].grad, 1.0)
+    np.testing.assert_array_equal(opt.pack.grads[:6], 0.0)
+
+
+def test_grad_setter_writes_into_the_pack():
+    w = Tensor(np.zeros((2, 2)), requires_grad=True)
+    opt = Adam([w])
+    w.grad = np.full((2, 2), 3.0)
+    np.testing.assert_array_equal(opt.pack.grads, 3.0)
+    ad.reduce_sum(ad.mul(w, w)).backward()
+    np.testing.assert_array_equal(opt.pack.grads, 3.0)  # d(w*w)/dw = 0 at w = 0
+
+
+def test_two_optimizers_over_the_same_parameters_share_the_storage():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones(4), requires_grad=True)
+    first = Adam([a, b], lr=0.1)
+    second = Adam([a, b], lr=0.1)
+    assert second.pack is first.pack
+    for opt, want in ((first, 0.9), (second, 0.8)):
+        a.grad = np.ones((2, 3))
+        b.grad = np.ones(4)
+        opt.step()
+        np.testing.assert_allclose(a.values, want, rtol=1e-6)
+        np.testing.assert_allclose(b.values, want, rtol=1e-6)
+        np.testing.assert_array_equal(a.grad, 0.0)
+    # each optimizer keeps its own moments
+    assert first.step_count == second.step_count == 1
+    assert first.first_moment[0] is not second.first_moment[0]
+
+
+@pytest.mark.parametrize("other", [
+    lambda a, b, c: [a],
+    lambda a, b, c: [b, a],
+    lambda a, b, c: [a, b, c],
+    lambda a, b, c: [c, b],
+])
+def test_packing_a_parameter_of_another_pack_raises(other):
+    a, b, c = (Tensor(np.zeros(3), requires_grad=True) for _ in range(3))
+    first = Adam([a, b])
+    with pytest.raises(ValueError, match="already packed"):
+        Adam(other(a, b, c))
+    assert a.values.base is first.pack.values and b.values.base is first.pack.values
+    assert c._pack is None
+
+
+def test_parameter_listed_twice_rejected():
+    a = Tensor(np.zeros(3), requires_grad=True)
+    with pytest.raises(ValueError, match="listed twice"):
+        Adam([a, a])
+
+
+def test_non_finite_gradient_raises_before_any_write():
+    rng = np.random.default_rng(1)
+    params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in ((3, 2), (4,), (2, 5))]
+    opt = Adam(params)
+    for p in params:
+        p.grad = rng.standard_normal(p.shape)
+    opt.step()
+    for p in params:
+        p.grad = rng.standard_normal(p.shape)
+    params[2].grad[1, 3] = np.nan
+    values = opt.pack.values.copy()
+    grads = opt.pack.grads.copy()
+    moments = opt._m.copy(), opt._v.copy()
+    with pytest.raises(NonFiniteError, match=r"parameter 2 of shape \(2, 5\) at step 2"):
+        opt.step()
+    assert opt.step_count == 1
+    for now, before in ((opt.pack.values, values), (opt.pack.grads, grads),
+                        (opt._m, moments[0]), (opt._v, moments[1])):
+        assert now.tobytes() == before.tobytes()
+
+
+def test_finite_gradients_whose_sum_overflows_still_step():
+    g = np.array([1e308, 1e308, -1.0])
+    w = Tensor(np.zeros(3), requires_grad=True)
+    opt = Adam([w], lr=0.1)
+    w.grad = g
+    with np.errstate(over="ignore"):
+        opt.step()
+        want = textbook_adam(np.zeros(3), [g], lr=0.1)
+    np.testing.assert_array_equal(w.values, want)
+    assert want[2] == pytest.approx(0.1)
+
+
+def test_empty_parameter_list_steps_as_a_no_op():
+    opt = Adam([])
+    opt.step()
+    opt.step()
+    assert opt.step_count == 2
+    assert opt.pack.values.size == 0
+
+
+def test_mixed_dtypes_rejected():
+    a = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    with pytest.raises(ValueError, match="mixed dtypes float32, float64"):
+        Adam([a, b])
+    assert a._pack is None and b._pack is None
+
+
+def test_blocks_cover_a_parameter_store_larger_than_one_block():
+    # sizes straddle block boundaries; the result must still be textbook
+    from noisylab.optim import BLOCK
+    rng = np.random.default_rng(2)
+    start = [rng.standard_normal(BLOCK + 3), rng.standard_normal((7, BLOCK // 7 + 1))]
+    grads = [[rng.standard_normal(s.shape) for _ in range(3)] for s in start]
+    params = [Tensor(s.copy(), requires_grad=True) for s in start]
+    opt = Adam(params, lr=0.01)
+    for step in range(3):
+        for p, g in zip(params, grads):
+            p.grad = g[step]
+        opt.step()
+        assert not opt.pack.grads.any()
+    for p, s, g in zip(params, start, grads):
+        np.testing.assert_array_equal(p.values, textbook_adam(s, g, lr=0.01))

@@ -260,6 +260,47 @@ class TestTrainVariant:
         assert seen
         assert all(dtypes == (np.float32,) * 3 for dtypes in seen), seen
 
+    @pytest.mark.parametrize("variant, poison_from_start, where", [
+        ("noise-model", False, r"epoch 1 \(noisy\)"),
+        ("noise-adaptation-model", True, r"epoch 0 \(pretrain\)"),
+    ])
+    def test_non_finite_gradient_names_epoch_and_phase(self, tiny_data, monkeypatch,
+                                                       variant, poison_from_start, where):
+        from noisylab import kernels, training
+        from noisylab.autodiff import NonFiniteError
+
+        poisoned = [poison_from_start]
+        backward = kernels.lstm_backward
+        noisy_epoch = training.train_noisy_epoch
+
+        def nan_bias_gradient(*args):
+            dx, dw_in, dw_rec, dbias = backward(*args)
+            if poisoned[0]:
+                dbias[0] = np.nan
+            return dx, dw_in, dw_rec, dbias
+
+        def poisoned_noisy_epoch(*args, **kwargs):
+            poisoned[0] = True
+            return noisy_epoch(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "lstm_backward", nan_bias_gradient)
+        monkeypatch.setattr(training, "train_noisy_epoch", poisoned_noisy_epoch)
+        # the clean epoch before the noisy one takes one step per batch
+        step = 1 if poison_from_start else -(-len(tiny_data.clean) // TINY.batch_size) + 1
+        config = dataclasses.replace(TINY, pretrain_epochs=1)
+        with pytest.raises(NonFiniteError, match=(
+                rf"^{where}: Adam: non-finite gradient in parameter 2 of shape "
+                rf"\(40,\) at step {step}$")):
+            train_variant(variant, tiny_data, config, trial_seed=0)
+
+    def test_trainable_embeddings_leave_the_dataset_table_unchanged(self, corpora):
+        config = dataclasses.replace(TINY, trainable_embeddings=True, epochs=1)
+        data = fresh_data(corpora, config)
+        before = data.embedding_table.copy()
+        result = train_variant("base-model", data, config, trial_seed=0)
+        np.testing.assert_array_equal(data.embedding_table, before)
+        assert not np.array_equal(result.model_state["embedding"], before)
+
     def test_noise_model_with_noiseless_copies_beats_base_model(self, corpora):
         # when N carries the true labels, the extra data cannot hurt
         config = dataclasses.replace(
