@@ -10,7 +10,7 @@ an entity-level evaluation harness.
 __version__ = "0.1.0"
 
 from .autodiff import Tensor, ShapeMismatch, NonFiniteError, gradient_check
-from .model import LabelSet, WindowExample, NoiseMatrix, build_window, theta_from_b
+from .model import LabelSet, NoiseMatrix, build_window, theta_from_b
 
 __all__ = [
     "Tensor",
@@ -18,7 +18,6 @@ __all__ = [
     "NonFiniteError",
     "gradient_check",
     "LabelSet",
-    "WindowExample",
     "NoiseMatrix",
     "build_window",
     "theta_from_b",

@@ -4,13 +4,15 @@ Ops build an eager computation graph of :class:`Tensor` nodes; calling
 ``backward()`` on a scalar root accumulates d(root)/d(leaf) into the
 ``grad`` of every reachable leaf with ``requires_grad``.  Each backward
 pass contributes independently, so two passes without zeroing yield
-exactly twice the gradient of one pass.
+exactly twice the gradient of one pass.  Inside ``no_grad()`` ops record
+no parents, so their outputs are constants that ``backward`` never reaches.
 
 64-bit floats are the default; 32-bit is available for speed by passing
 float32 arrays in (ops preserve the input dtype).
 """
 
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -19,6 +21,24 @@ from . import kernels
 DEFAULT_DTYPE = np.float64
 
 LOG_FLOOR = 1e-12
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Within this block ops record no parents (for prediction)."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def is_grad_enabled():
+    return _grad_enabled
 
 
 class ShapeMismatch(ValueError):
@@ -40,6 +60,8 @@ class Tensor:
         values = np.asarray(values)
         if values.dtype.kind != "f":
             values = values.astype(DEFAULT_DTYPE)
+        if not _grad_enabled:
+            _parents = ()
         self.values = values
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self._grad = None
@@ -150,44 +172,36 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _broadcast_guard(op, a, b):
+def _operands(op, a, b):
+    """Both operands of an elementwise op as Tensors of broadcastable shapes."""
+    if isinstance(a, Tensor):
+        b = _as_operand(b, a)
+    else:
+        b = _as_tensor(b)
+        a = _as_operand(a, b)
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeMismatch(f"{op}: cannot combine shapes {a.shape} and {b.shape}") from None
+    return a, b
 
 
 def add(a, b):
-    if isinstance(a, Tensor):
-        a, b = a, _as_operand(b, a)
-    else:
-        b = _as_tensor(b)
-        a = _as_operand(a, b)
-    _broadcast_guard("add", a, b)
+    a, b = _operands("add", a, b)
     out = Tensor(a.values + b.values, _parents=(a, b), _op="add")
     out._backward = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
     return out
 
 
 def sub(a, b):
-    if isinstance(a, Tensor):
-        a, b = a, _as_operand(b, a)
-    else:
-        b = _as_tensor(b)
-        a = _as_operand(a, b)
-    _broadcast_guard("sub", a, b)
+    a, b = _operands("sub", a, b)
     out = Tensor(a.values - b.values, _parents=(a, b), _op="sub")
     out._backward = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
     return out
 
 
 def mul(a, b):
-    if isinstance(a, Tensor):
-        a, b = a, _as_operand(b, a)
-    else:
-        b = _as_tensor(b)
-        a = _as_operand(a, b)
-    _broadcast_guard("mul", a, b)
+    a, b = _operands("mul", a, b)
     out = Tensor(a.values * b.values, _parents=(a, b), _op="mul")
     out._backward = lambda g: (
         _unbroadcast(g * b.values, a.shape),

@@ -1,40 +1,29 @@
 """Model checkpoints: parameter arrays, vocabulary, labels, and the
 resolved configuration in one npz file."""
 
-import os
-import tempfile
-
 import numpy as np
 
 from .config import ExperimentConfig
 from .embeddings import Vocabulary
+from .fileio import atomic_write
 from .model import LabelSet, NoiseMatrix, WindowClassifier
 
 
-def save_checkpoint(path, model, vocab, label_set, config, noise=None,
+def save_checkpoint(path, model_state, vocab, label_set, config, noise_b=None,
                     selected_epoch=None, dev_f1_history=None):
-    arrays = {f"model_{k}": v for k, v in model.state_dict().items()}
+    """Write a classifier's ``state_dict()`` and, for a noise-layer
+    variant, its noise weights ``noise_b``."""
+    arrays = {f"model_{k}": v for k, v in model_state.items()}
     arrays["vocab_words"] = np.array(vocab.words, dtype=str)
     arrays["classes"] = np.array(label_set.classes, dtype=str)
     arrays["config_text"] = np.array(config.to_text())
-    if noise is not None and noise.b_matrix() is not None:
-        arrays["noise_b"] = noise.b_matrix()
+    if noise_b is not None:
+        arrays["noise_b"] = noise_b
     if selected_epoch is not None:
         arrays["selected_epoch"] = np.array(selected_epoch)
     if dev_f1_history is not None:
         arrays["dev_f1_history"] = np.asarray(dev_f1_history)
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".npz")
-    os.close(fd)
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, lambda fh: np.savez(fh, **arrays), binary=True)
 
 
 def load_checkpoint(path):

@@ -17,11 +17,11 @@ from . import evaluation, training
 from .autodiff import NonFiniteError
 from .config import ExperimentConfig
 from .conll import CorpusDocument, Sentence, parse_conll, write_conll
-from .data import corpus_windows, prepare
+from .data import build_channel_spec, corpus_windows, prepare
 from .fileio import atomic_write_json, atomic_write_text, jsonl_line
 from .gazetteer import Gazetteer, annotate
-from .model import LabelSet, NoiseMatrix, WindowClassifier
-from .noise import NoiseChannelSpec, apply_channel, estimate_confusion, init_noise_weights
+from .model import LabelSet
+from .noise import apply_channel, estimate_confusion, init_noise_weights
 from .toydata import gazetteer_file_text, generate_splits, toy_gazetteer_pairs
 
 
@@ -57,19 +57,9 @@ def cmd_simulate_noise(args):
     corpus = parse_conll(_read(args.input), label_set)
     if not corpus.labeled:
         raise ValueError("input corpus must be labeled")
-    if args.kind == "uniform":
-        spec = NoiseChannelSpec.uniform(args.rho, k=label_set.k, seed=args.seed)
-    elif args.kind == "permutation":
-        names = [n.strip() for n in args.permutation.split(",")]
-        spec = NoiseChannelSpec.from_permutation(
-            [label_set.index(n) for n in names], seed=args.seed)
-    elif args.preset == "gazetteer-like":
-        spec = NoiseChannelSpec.gazetteer_like(seed=args.seed)
-    elif args.matrix:
-        _, matrix = evaluation.parse_matrix_csv(_read(args.matrix))
-        spec = NoiseChannelSpec.empirical(matrix, seed=args.seed)
-    else:
-        raise ValueError("empirical channel needs --preset or --matrix")
+    spec = build_channel_spec(args.kind, label_set, args.seed, rho=args.rho,
+                              permutation=args.permutation, preset=args.preset,
+                              matrix_path=args.matrix)
     flat = label_set.encode(corpus.flat_labels())
     corrupted = apply_channel(flat, spec)
     out = CorpusDocument(doc_starts=list(corpus.doc_starts))
@@ -133,17 +123,9 @@ def cmd_train(args):
         os.path.join(args.out, "metrics.jsonl"),
         "".join(jsonl_line(r) + "\n" for r in records),
     )
-    model = WindowClassifier(
-        data.embedding_table, k=data.k, hidden_size=config.hidden_size,
-        dense_size=config.dense_size, seed=config.seed,
-        trainable_embeddings=config.trainable_embeddings, pooling=config.pooling,
-        dtype=config.numpy_dtype,
-    )
-    model.load_state(result.model_state)
-    noise = None if result.noise_b is None else NoiseMatrix(result.noise_b)
     ckpt.save_checkpoint(
-        os.path.join(args.out, "checkpoint.npz"), model, data.vocab,
-        data.label_set, config, noise=noise,
+        os.path.join(args.out, "checkpoint.npz"), result.model_state, data.vocab,
+        data.label_set, config, noise_b=result.noise_b,
         selected_epoch=result.selected_epoch,
         dev_f1_history=result.dev_f1_history,
     )

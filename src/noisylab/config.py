@@ -6,12 +6,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LabelSet
+from .model import POOLINGS, LabelSet
+from .noise import CHANNEL_KINDS
+from .training import VARIANTS
 
 
 # keys whose value selects a code path: a value outside these would
-# silently take the default path, so it is rejected instead
+# silently take the default path or fail only mid-run, so it is rejected
+# instead
 CHOICES = {
+    "variant": tuple(VARIANTS),
+    "pooling": POOLINGS,
+    "channel_kind": CHANNEL_KINDS,
     "dtype": ("float32", "float64"),
     "noisy_scope": ("rest", "all"),
     "noisy_source": ("channel", "gazetteer"),

@@ -149,27 +149,25 @@ def corpus_windows(corpus: CorpusDocument, vocab, name, label_set=None,
     )
 
 
-def build_channel_spec(config, label_set) -> Optional[NoiseChannelSpec]:
-    """Channel described by an experiment config, or None for gazetteer mode."""
-    if config.noisy_source == "gazetteer":
-        return None
-    kind = config.channel_kind
+def build_channel_spec(kind, label_set, seed, rho=0.0, permutation="", preset="",
+                       matrix_path="") -> NoiseChannelSpec:
+    """Channel of ``kind`` (one of ``noise.CHANNEL_KINDS``).  ``permutation``
+    is comma-separated class names; an empirical channel takes the preset
+    "gazetteer-like" or else the matrix CSV at ``matrix_path``."""
     if kind == "uniform":
-        return NoiseChannelSpec.uniform(config.channel_rho, k=label_set.k, seed=config.seed)
+        return NoiseChannelSpec.uniform(rho, k=label_set.k, seed=seed)
     if kind == "permutation":
-        names = [n.strip() for n in config.channel_permutation.split(",")]
+        names = [n.strip() for n in permutation.split(",")]
         perm = [label_set.index(n) for n in names]
-        return NoiseChannelSpec.from_permutation(perm, seed=config.seed)
-    if kind == "empirical":
-        if config.channel_preset == "gazetteer-like":
-            return NoiseChannelSpec.gazetteer_like(seed=config.seed)
-        if config.channel_matrix_path:
-            from .evaluation import parse_matrix_csv
-            with open(config.channel_matrix_path, encoding="utf-8") as fh:
-                _, matrix = parse_matrix_csv(fh.read())
-            return NoiseChannelSpec.empirical(matrix, seed=config.seed)
-        raise ValueError("empirical channel needs a preset or a matrix file")
-    raise ValueError(f"unknown channel kind {kind!r}")
+        return NoiseChannelSpec.from_permutation(perm, seed=seed)
+    if preset == "gazetteer-like":
+        return NoiseChannelSpec.gazetteer_like(seed=seed)
+    if matrix_path:
+        from .evaluation import parse_matrix_csv
+        with open(matrix_path, encoding="utf-8") as fh:
+            _, matrix = parse_matrix_csv(fh.read())
+        return NoiseChannelSpec.empirical(matrix, seed=seed)
+    raise ValueError("empirical channel needs a preset or a matrix file")
 
 
 def prepare(config, train_corpus, dev_corpus, test_corpus, gazetteer=None) -> SplitDataset:
@@ -192,8 +190,7 @@ def prepare(config, train_corpus, dev_corpus, test_corpus, gazetteer=None) -> Sp
     )
     noisy_corpus = train_corpus if config.noisy_scope == "all" else rest_corpus
 
-    spec = build_channel_spec(config, label_set)
-    if spec is None:
+    if config.noisy_source == "gazetteer":
         if gazetteer is None:
             raise ValueError("gazetteer mode needs a gazetteer")
         noisy_z = label_set.encode(
@@ -205,6 +202,10 @@ def prepare(config, train_corpus, dev_corpus, test_corpus, gazetteer=None) -> Sp
              for lab in sent]
         )
     else:
+        spec = build_channel_spec(
+            config.channel_kind, label_set, config.seed, rho=config.channel_rho,
+            permutation=config.channel_permutation, preset=config.channel_preset,
+            matrix_path=config.channel_matrix_path)
         noisy_y = label_set.encode(noisy_corpus.flat_labels())
         noisy_z = apply_channel(noisy_y, spec, stream="noisy")
         clean_y_flat = label_set.encode(clean_corpus.flat_labels())

@@ -2,11 +2,11 @@
 the learnable label-noise layer, and the label-cleaning network baseline.
 
 The noise layer and the cleaning network only ever participate in
-training; prediction always uses the bare classifier.
+training; prediction is the bare classifier's ``probs`` under
+``autodiff.no_grad``.
 """
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +19,8 @@ WINDOW_RADIUS = 3
 WINDOW_SIZE = 2 * WINDOW_RADIUS + 1
 
 DEFAULT_CLASSES = ("O", "PER", "ORG", "LOC", "MISC")
+
+POOLINGS = ("final", "center")
 
 
 class LabelSet:
@@ -59,33 +61,6 @@ class LabelSet:
         return f"LabelSet({self.classes!r})"
 
 
-@dataclass
-class WindowExample:
-    """One target token with its padded context window.
-
-    Clean examples carry a trusted label ``y``; noisy ones carry the
-    observed label ``z``.  Clean examples may additionally carry a ``z``
-    produced by the same annotation process as the noisy data, which is
-    what the noise-layer initialization consumes.
-    """
-
-    token_ids: np.ndarray
-    clean_label: Optional[int] = None
-    noisy_label: Optional[int] = None
-    source: str = "clean"
-
-    def __post_init__(self):
-        self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
-        if self.token_ids.shape != (WINDOW_SIZE,):
-            raise ValueError(f"window must have {WINDOW_SIZE} tokens")
-        if self.source not in ("clean", "noisy"):
-            raise ValueError(f"unknown source {self.source!r}")
-        if self.source == "clean" and self.clean_label is None:
-            raise ValueError("clean example needs a clean label")
-        if self.source == "noisy" and self.noisy_label is None:
-            raise ValueError("noisy example needs a noisy label")
-
-
 def build_window(sentence, target_index, pad):
     """Slice of 2*RADIUS+1 items around ``target_index``, padded with ``pad``."""
     n = len(sentence)
@@ -111,12 +86,27 @@ def sentence_windows(token_ids, pad_id):
     return out
 
 
-def _uniform_init(rng, shape, fan_in):
+def _uniform_param(seed, stream, name, shape, fan_in, dtype):
     bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    values = substream(seed, stream, name).uniform(-bound, bound, size=shape)
+    return Tensor(values.astype(dtype), requires_grad=True)
 
 
-class WindowClassifier:
+class _Network:
+    """A network whose Tensors are the attributes named in STATE."""
+
+    def parameters(self):
+        return [getattr(self, name) for name in self.STATE]
+
+    def state_dict(self):
+        return {name: getattr(self, name).values.copy() for name in self.STATE}
+
+    def load_state(self, state):
+        for name, values in state.items():
+            getattr(self, name).values[...] = values
+
+
+class WindowClassifier(_Network):
     """Embedding lookup, BiLSTM encoder, dense ReLU, softmax over classes.
 
     The window representation is the concatenation of one forward and one
@@ -124,10 +114,13 @@ class WindowClassifier:
     state after the whole window, "center" the states at the target token).
     """
 
+    STATE = ("embedding", "fw_in", "fw_rec", "fw_bias", "bw_in", "bw_rec", "bw_bias",
+             "dense_w", "dense_b", "out_w", "out_b")
+
     def __init__(self, embedding_table, k, hidden_size, dense_size,
                  seed=0, trainable_embeddings=False, pooling="final",
                  dtype=np.float64):
-        if pooling not in ("final", "center"):
+        if pooling not in POOLINGS:
             raise ValueError(f"unknown pooling {pooling!r}")
         embed = np.asarray(embedding_table, dtype=dtype)
         e = embed.shape[1]
@@ -139,10 +132,7 @@ class WindowClassifier:
         self.trainable_embeddings = trainable_embeddings
         self.embedding = Tensor(embed, requires_grad=trainable_embeddings)
         def t(name, shape, fan_in):
-            return Tensor(
-                _uniform_init(substream(seed, "init", name), shape, fan_in).astype(dtype),
-                requires_grad=True,
-            )
+            return _uniform_param(seed, "init", name, shape, fan_in, dtype)
         self.fw_in = t("fw_in", (e, 4 * h), e)
         self.fw_rec = t("fw_rec", (h, 4 * h), h)
         self.fw_bias = Tensor(np.zeros(4 * h, dtype=dtype), requires_grad=True)
@@ -155,14 +145,8 @@ class WindowClassifier:
         self.out_b = Tensor(np.zeros(k, dtype=dtype), requires_grad=True)
 
     def parameters(self):
-        params = [
-            self.fw_in, self.fw_rec, self.fw_bias,
-            self.bw_in, self.bw_rec, self.bw_bias,
-            self.dense_w, self.dense_b, self.out_w, self.out_b,
-        ]
-        if self.trainable_embeddings:
-            params.insert(0, self.embedding)
-        return params
+        names = self.STATE if self.trainable_embeddings else self.STATE[1:]
+        return [getattr(self, name) for name in names]
 
     def _pool_steps(self):
         if self.pooling == "center":
@@ -170,66 +154,48 @@ class WindowClassifier:
         return WINDOW_SIZE - 1, 0
 
     def features(self, token_ids):
-        """BiLSTM window representation as a graph Tensor of shape (B, 2H)."""
-        x = ad.embedding_lookup(self.embedding, np.atleast_2d(token_ids))
+        """BiLSTM window representation as a Tensor of shape (B, 2H).
+
+        Under ``autodiff.no_grad`` nothing will be differentiated, so each
+        direction runs the cache-free prediction scan instead: only up to
+        its pooled step, evaluating each distinct token and window prefix
+        once.
+        """
+        ids = np.atleast_2d(token_ids)
+        step_f, step_b = self._pool_steps()
+        if not ad.is_grad_enabled():
+            table = self.embedding.values
+            hf = kernels.lstm_last_hidden(
+                table, ids, self.fw_in.values, self.fw_rec.values, self.fw_bias.values,
+                step_f + 1)
+            hb = kernels.lstm_last_hidden(
+                table, ids[:, ::-1], self.bw_in.values, self.bw_rec.values,
+                self.bw_bias.values, WINDOW_SIZE - step_b)
+            return Tensor(np.concatenate([hf, hb], axis=1))
+        x = ad.embedding_lookup(self.embedding, ids)
         hf = ad.lstm_sequence(x, self.fw_in, self.fw_rec, self.fw_bias)
         hb = ad.lstm_sequence(x, self.bw_in, self.bw_rec, self.bw_bias, reverse=True)
-        step_f, step_b = self._pool_steps()
         return ad.concat([ad.take_time(hf, step_f), ad.take_time(hb, step_b)], axis=1)
 
-    def probs(self, token_ids, features=None):
-        """Class distributions as a graph Tensor of shape (B, k)."""
-        feats = self.features(token_ids) if features is None else features
+    def probs(self, token_ids):
+        """Class distributions as a Tensor of shape (B, k)."""
+        feats = self.features(token_ids)
         hidden = ad.relu(ad.add(ad.matmul(feats, self.dense_w), self.dense_b))
         logits = ad.add(ad.matmul(hidden, self.out_w), self.out_b)
         return ad.softmax(logits, axis=-1)
 
-    def base_forward(self, example):
-        """Distribution over classes for a single window."""
-        ids = example.token_ids if isinstance(example, WindowExample) else example
-        return self.probs(np.atleast_2d(ids)).values[0]
-
     def infer_features(self, token_ids):
-        """Graph-free replica of :meth:`features` for prediction paths.
-
-        Each direction scans only up to its pooled step, keeps no caches,
-        and evaluates each distinct token and window prefix once.
-        """
-        ids = np.atleast_2d(token_ids)
-        table = self.embedding.values
-        step_f, step_b = self._pool_steps()
-        hf = kernels.lstm_last_hidden(
-            table, ids, self.fw_in.values, self.fw_rec.values, self.fw_bias.values,
-            step_f + 1)
-        hb = kernels.lstm_last_hidden(
-            table, ids[:, ::-1], self.bw_in.values, self.bw_rec.values,
-            self.bw_bias.values, WINDOW_SIZE - step_b)
-        return np.concatenate([hf, hb], axis=1)
-
-    def infer_probs(self, token_ids):
-        """Graph-free replica of :meth:`probs`."""
-        feats = self.infer_features(token_ids)
-        hidden = np.maximum(feats @ self.dense_w.values + self.dense_b.values, 0.0)
-        logits = hidden @ self.out_w.values + self.out_b.values
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+        """:meth:`features` under ``no_grad``, as an array."""
+        with ad.no_grad():
+            return self.features(token_ids).values
 
     def predict(self, token_ids):
         """Predicted class per window; ties break toward the lowest index.
 
         The noise layer and the cleaning network never participate here.
         """
-        return np.argmax(self.infer_probs(token_ids), axis=-1)
-
-    def state_dict(self):
-        names = ["embedding", "fw_in", "fw_rec", "fw_bias", "bw_in", "bw_rec",
-                 "bw_bias", "dense_w", "dense_b", "out_w", "out_b"]
-        return {name: getattr(self, name).values.copy() for name in names}
-
-    def load_state(self, state):
-        for name, values in state.items():
-            getattr(self, name).values[...] = values
+        with ad.no_grad():
+            return np.argmax(self.probs(token_ids).values, axis=-1)
 
 
 def theta_from_b(b):
@@ -300,7 +266,7 @@ def noisy_forward(probs, noise):
     return ad.matmul(probs, noise.theta_tensor())
 
 
-class CleaningNetwork:
+class CleaningNetwork(_Network):
     """Maps (window features, observed noisy label) to a cleaned label vector.
 
     The BiLSTM features are projected to a small space, concatenated with
@@ -308,45 +274,24 @@ class CleaningNetwork:
     the noisy label (skip connection), and clipped to [0, 1].
     """
 
+    STATE = ("proj_w", "proj_b", "comb_w", "comb_b")
+
     def __init__(self, feature_size, k, proj_size=30, seed=0, dtype=np.float64):
         self.k = k
         self.proj_size = proj_size
         def t(name, shape, fan_in):
-            return Tensor(
-                _uniform_init(substream(seed, "cleaner", name), shape, fan_in).astype(dtype),
-                requires_grad=True,
-            )
+            return _uniform_param(seed, "cleaner", name, shape, fan_in, dtype)
         self.proj_w = t("proj_w", (feature_size, proj_size), feature_size)
         self.proj_b = Tensor(np.zeros(proj_size, dtype=dtype), requires_grad=True)
         self.comb_w = t("comb_w", (proj_size + k, k), proj_size + k)
         self.comb_b = Tensor(np.zeros(k, dtype=dtype), requires_grad=True)
 
-    def parameters(self):
-        return [self.proj_w, self.proj_b, self.comb_w, self.comb_b]
-
     def forward(self, features, noisy_onehot):
         """Cleaned label vectors in [0, 1], shape (B, k)."""
-        feats = features if isinstance(features, Tensor) else Tensor(features)
-        onehot = noisy_onehot if isinstance(noisy_onehot, Tensor) else Tensor(noisy_onehot)
-        projected = ad.add(ad.matmul(feats, self.proj_w), self.proj_b)
-        combined = ad.concat([projected, onehot], axis=1)
+        projected = ad.add(ad.matmul(features, self.proj_w), self.proj_b)
+        combined = ad.concat([projected, noisy_onehot], axis=1)
         mapped = ad.add(ad.matmul(combined, self.comb_w), self.comb_b)
-        return ad.clip(ad.add(mapped, onehot), 0.0, 1.0)
-
-    def infer(self, features, noisy_onehot):
-        """Graph-free replica of :meth:`forward`."""
-        projected = features @ self.proj_w.values + self.proj_b.values
-        combined = np.concatenate([projected, noisy_onehot], axis=1)
-        mapped = combined @ self.comb_w.values + self.comb_b.values
-        return np.clip(mapped + noisy_onehot, 0.0, 1.0)
-
-    def state_dict(self):
-        names = ["proj_w", "proj_b", "comb_w", "comb_b"]
-        return {name: getattr(self, name).values.copy() for name in names}
-
-    def load_state(self, state):
-        for name, values in state.items():
-            getattr(self, name).values[...] = values
+        return ad.clip(ad.add(mapped, noisy_onehot), 0.0, 1.0)
 
 
 def one_hot(labels, k, dtype=np.float64):

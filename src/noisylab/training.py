@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tensor, absolute_error, cross_entropy
+from .autodiff import NonFiniteError, Tensor, absolute_error, cross_entropy, no_grad
 from .data import SplitDataset, prepare, split_by_lengths
 from .evaluation import PRFReport, entity_prf
 from .model import (
@@ -29,6 +29,7 @@ from .model import (
     WindowClassifier,
     noisy_forward,
     one_hot,
+    theta_from_b,
 )
 from .noise import (
     estimate_confusion,
@@ -39,51 +40,32 @@ from .noise import (
 from .optim import Adam
 from .rng import substream
 
-VARIANTS = (
-    "base-model",
-    "base-model-with-noise",
-    "noise-model",
-    "noise-model-with-identity-init",
-    "noise-adaptation-model",
-    "noise-cleaning-model",
-)
+# name: (epoch phases, repeated in order over the epochs; how the noise
+# layer's weights start, or None for a variant without a noise layer)
+VARIANTS = {
+    "base-model": (("clean",), None),
+    "base-model-with-noise": (("pooled",), None),
+    "noise-model": (("clean", "noisy"), "clean-confusion"),
+    "noise-model-with-identity-init": (("clean", "noisy"), "identity"),
+    "noise-adaptation-model": (("noisy-full",), "prediction-confusion"),
+    "noise-cleaning-model": (("cleaning",), None),
+}
 
 
-@dataclass
-class VariantSpec:
-    """One of the six accepted training recipes."""
-
-    name: str
-
-    def __post_init__(self):
-        if self.name not in VARIANTS:
-            raise ValueError(f"unknown variant {self.name!r}; expected one of {VARIANTS}")
-
-    @property
-    def uses_noise_layer(self):
-        return self.name in (
-            "noise-model", "noise-model-with-identity-init", "noise-adaptation-model"
-        )
-
-    @property
-    def uses_cleaner(self):
-        return self.name == "noise-cleaning-model"
+def _variant(name):
+    """The (phases, noise init) entry of ``name`` in VARIANTS."""
+    try:
+        return VARIANTS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown variant {name!r}; expected one of {', '.join(VARIANTS)}") from None
 
 
-def schedule(variant_name, epochs):
+def schedule(variant, epochs):
     """Observable epoch phases, in order.  The alternating variants always
     start with a clean epoch and alternate strictly."""
-    if variant_name == "base-model":
-        return ["clean"] * epochs
-    if variant_name == "base-model-with-noise":
-        return ["pooled"] * epochs
-    if variant_name in ("noise-model", "noise-model-with-identity-init"):
-        return ["clean" if e % 2 == 0 else "noisy" for e in range(epochs)]
-    if variant_name == "noise-adaptation-model":
-        return ["noisy-full"] * epochs
-    if variant_name == "noise-cleaning-model":
-        return ["cleaning"] * epochs
-    raise ValueError(f"unknown variant {variant_name!r}")
+    phases, _ = _variant(variant)
+    return [phases[e % len(phases)] for e in range(epochs)]
 
 
 def subsample_noisy(n_total, size, seed, epoch=0):
@@ -198,8 +180,9 @@ def _clean_noisy_labels(model, cleaner, noisy_split, indices, k, eval_batch):
     cleaned = np.empty(ids.shape[0], dtype=np.int64)
     for start in range(0, ids.shape[0], eval_batch):
         sl = slice(start, start + eval_batch)
-        feats = model.infer_features(ids[sl])
-        vec = cleaner.infer(feats, one_hot(z[sl], k, dtype=dtype))
+        with no_grad():
+            vec = cleaner.forward(model.features(ids[sl]),
+                                  one_hot(z[sl], k, dtype=dtype)).values
         sums = vec.sum(axis=1)
         out = np.argmax(vec, axis=1)
         dead = sums <= 0.0
@@ -239,105 +222,93 @@ def _naming_epoch(epoch, phase):
         raise NonFiniteError(f"epoch {epoch} ({phase}): {err}") from err
 
 
-def _init_noise_matrix(variant, model, data, config, trial_seed):
+def _adam(params, config):
+    return Adam(params, lr=config.learning_rate, beta1=config.beta1,
+                beta2=config.beta2, eps=config.epsilon)
+
+
+def _init_noise_matrix(init, model, data, config, trial_seed):
+    """Noise layer for the variant's init kind, or None without one."""
+    if init is None:
+        return None
     k = data.k
-    dtype = config.numpy_dtype
-    if variant == "noise-model":
+    if init == "identity":
+        b = identity_init(k)
+    elif init == "clean-confusion":
         if data.clean.z is None:
             raise ValueError("noise-model needs noisy twins of the clean labels")
-        counts = estimate_confusion(data.clean.y, data.clean.z, k)
-        return NoiseMatrix(init_noise_weights(counts, config.alpha), dtype=dtype)
-    if variant == "noise-model-with-identity-init":
-        return NoiseMatrix(identity_init(k), dtype=dtype)
-    if variant == "noise-adaptation-model":
-        # pretrain on noisy labels only, then read the confusion between
-        # the model's own predictions and those labels
-        opt = Adam(model.parameters(), lr=config.learning_rate,
-                   beta1=config.beta1, beta2=config.beta2, eps=config.epsilon)
+        b = init_noise_weights(estimate_confusion(data.clean.y, data.clean.z, k), config.alpha)
+    else:
+        # "prediction-confusion": pretrain on noisy labels only, then read
+        # the confusion between the model's own predictions and those labels
+        opt = _adam(model.parameters(), config)
         ids, z = data.noisy.take(slice(None), "z")
         for epoch in range(config.pretrain_epochs):
             rng = substream(trial_seed, "shuffle", "pretrain", epoch)
             with _naming_epoch(epoch, "pretrain"):
                 _supervised_pass(model, ids, z, opt, rng, config.batch_size)
         preds = predict_split(model, data.noisy, config.eval_batch_size)
-        return NoiseMatrix(prediction_confusion_init(preds, z, k, config.alpha), dtype=dtype)
-    return None
+        b = prediction_confusion_init(preds, z, k, config.alpha)
+    return NoiseMatrix(b, dtype=config.numpy_dtype)
 
 
-def train_variant(spec, data: SplitDataset, config, trial_seed,
+def train_variant(variant, data: SplitDataset, config, trial_seed,
                   metrics_sink=None):
     """Run one seeded trial of a variant; selects the best epoch by dev F1
     (earliest epoch wins ties) and reports test scores from that epoch."""
-    if isinstance(spec, str):
-        spec = VariantSpec(spec)
-    variant = spec.name
+    phases, init = _variant(variant)
     k = data.k
-    dtype = config.numpy_dtype
     model = WindowClassifier(
         data.embedding_table, k=k, hidden_size=config.hidden_size,
         dense_size=config.dense_size, seed=trial_seed,
         trainable_embeddings=config.trainable_embeddings,
-        pooling=config.pooling, dtype=dtype,
+        pooling=config.pooling, dtype=config.numpy_dtype,
     )
-    opt_base = Adam(model.parameters(), lr=config.learning_rate,
-                    beta1=config.beta1, beta2=config.beta2, eps=config.epsilon)
-    noise = _init_noise_matrix(variant, model, data, config, trial_seed)
-    opt_noise = None
-    if noise is not None and noise.trainable:
-        opt_noise = Adam(noise.parameters(), lr=config.learning_rate,
-                         beta1=config.beta1, beta2=config.beta2, eps=config.epsilon)
+    opt_base = _adam(model.parameters(), config)
+    noise = _init_noise_matrix(init, model, data, config, trial_seed)
+    opt_noise = None if noise is None else _adam(noise.parameters(), config)
     cleaner = None
-    opt_cleaner = None
-    if spec.uses_cleaner:
+    if "cleaning" in phases:
         cleaner = CleaningNetwork(2 * config.hidden_size, k,
                                   proj_size=config.cleaner_proj_size,
-                                  seed=trial_seed, dtype=dtype)
-        opt_cleaner = Adam(cleaner.parameters(), lr=config.learning_rate,
-                           beta1=config.beta1, beta2=config.beta2, eps=config.epsilon)
+                                  seed=trial_seed, dtype=config.numpy_dtype)
+        opt_cleaner = _adam(cleaner.parameters(), config)
 
     subsample_size = int(round(config.noisy_factor * len(data.clean)))
-    phases = schedule(variant, config.epochs)
     dev_history = []
     best_f1 = -1.0
-    best_epoch = -1
-    best_state = None
-    best_noise_b = None
 
-    for epoch, phase in enumerate(phases):
+    for epoch, phase in enumerate(schedule(variant, config.epochs)):
         rng = substream(trial_seed, "shuffle", epoch)
         cleaner_loss = None
         with _naming_epoch(epoch, phase):
             if phase == "clean":
                 loss = train_clean_epoch(model, data.clean, opt_base, rng, config.batch_size)
-            elif phase == "pooled":
-                indices = subsample_noisy(len(data.noisy), subsample_size, trial_seed, epoch)
-                loss = train_pooled_epoch(model, data.clean, data.noisy, indices,
-                                          opt_base, rng, config.batch_size)
-            elif phase == "noisy":
-                indices = subsample_noisy(len(data.noisy), subsample_size, trial_seed, epoch)
-                loss = train_noisy_epoch(model, noise, data.noisy, indices,
-                                         opt_base, opt_noise, rng, config.batch_size)
-            elif phase == "noisy-full":
-                indices = np.arange(len(data.noisy))
-                loss = train_noisy_epoch(model, noise, data.noisy, indices,
-                                         opt_base, opt_noise, rng, config.batch_size)
-            elif phase == "cleaning":
-                cleaner_loss = _train_cleaner_pass(
-                    model, cleaner, data.clean, opt_cleaner,
-                    substream(trial_seed, "shuffle", epoch, "cleaner"),
-                    config.batch_size, k)
-                indices = subsample_noisy(len(data.noisy), subsample_size, trial_seed, epoch)
-                noisy_ids, cleaned = _clean_noisy_labels(
-                    model, cleaner, data.noisy, indices, k, config.eval_batch_size)
-                clean_ids, y = data.clean.take(slice(None), "y")
-                ids = np.concatenate([noisy_ids, clean_ids])
-                labels = np.concatenate([cleaned, y])
-                loss = _supervised_pass(model, ids, labels, opt_base, rng, config.batch_size)
             else:
-                raise ValueError(f"unknown phase {phase!r}")
+                indices = (np.arange(len(data.noisy)) if phase == "noisy-full" else
+                           subsample_noisy(len(data.noisy), subsample_size, trial_seed, epoch))
+                if phase in ("noisy", "noisy-full"):
+                    loss = train_noisy_epoch(model, noise, data.noisy, indices,
+                                             opt_base, opt_noise, rng, config.batch_size)
+                elif phase == "pooled":
+                    loss = train_pooled_epoch(model, data.clean, data.noisy, indices,
+                                              opt_base, rng, config.batch_size)
+                else:  # "cleaning"
+                    cleaner_loss = _train_cleaner_pass(
+                        model, cleaner, data.clean, opt_cleaner,
+                        substream(trial_seed, "shuffle", epoch, "cleaner"),
+                        config.batch_size, k)
+                    noisy_ids, cleaned = _clean_noisy_labels(
+                        model, cleaner, data.noisy, indices, k, config.eval_batch_size)
+                    clean_ids, y = data.clean.take(slice(None), "y")
+                    ids = np.concatenate([noisy_ids, clean_ids])
+                    labels = np.concatenate([cleaned, y])
+                    loss = _supervised_pass(model, ids, labels, opt_base, rng,
+                                            config.batch_size)
 
         dev_f1, _ = evaluate_split(model, data.dev, data.label_set, config.eval_batch_size)
         dev_history.append(dev_f1)
+        # dev F1 >= 0, so epoch 0 always sets the best state
         if dev_f1 > best_f1:
             best_f1 = dev_f1
             best_epoch = epoch
@@ -359,16 +330,6 @@ def train_variant(spec, data: SplitDataset, config, trial_seed,
     model.load_state(best_state)
     test_f1, test_report = evaluate_split(model, data.test, data.label_set,
                                           config.eval_batch_size)
-    theta = None
-    noise_b = None
-    if noise is not None:
-        if best_noise_b is not None:
-            selected = NoiseMatrix(best_noise_b)
-            theta = selected.theta()
-            noise_b = best_noise_b
-        else:
-            theta = noise.theta()
-            noise_b = noise.b_matrix()
     return TrialResult(
         seed=trial_seed,
         variant=variant,
@@ -376,30 +337,28 @@ def train_variant(spec, data: SplitDataset, config, trial_seed,
         selected_epoch=best_epoch,
         test_f1=test_f1,
         test_report=test_report,
-        theta=theta,
-        noise_b=noise_b,
+        theta=None if noise is None else theta_from_b(best_noise_b),
+        noise_b=best_noise_b,
         model_state=model.state_dict(),
         cleaner_state=None if cleaner is None else cleaner.state_dict(),
     )
 
 
-def run_trials(spec, data: SplitDataset, config, n_seeds=None,
+def run_trials(variant, data: SplitDataset, config, n_seeds=None,
                metrics_sink=None):
     """Independent seeded trials; reports mean test F1 and standard error
     (sample standard deviation over the square root of the trial count)."""
-    if isinstance(spec, str):
-        spec = VariantSpec(spec)
     n = config.n_seeds if n_seeds is None else n_seeds
     if n < 1:
         raise ValueError("need at least one trial")
     trials = [
-        train_variant(spec, data, config, trial_seed=config.seed + i,
+        train_variant(variant, data, config, trial_seed=config.seed + i,
                       metrics_sink=metrics_sink)
         for i in range(n)
     ]
     mean, se = mean_and_se([t.test_f1 for t in trials])
     return TrialsSummary(
-        variant=spec.name,
+        variant=variant,
         mean_f1=mean,
         se=se,
         n_seeds=n,
@@ -428,7 +387,7 @@ class SweepRow:
 SWEEP_AXES = ("clean-size", "noisy-factor")
 
 
-def sweep(axis, values, spec, train_corpus, dev_corpus, test_corpus, config,
+def sweep(axis, values, variant, train_corpus, dev_corpus, test_corpus, config,
           gazetteer=None, metrics_sink=None):
     """Run the harness across clean-data sizes or noisy subsample factors.
 
@@ -436,8 +395,7 @@ def sweep(axis, values, spec, train_corpus, dev_corpus, test_corpus, config,
     stays tied to |C|); noisy-factor keeps C fixed and scales the
     subsample.  Returns one row per value.
     """
-    if isinstance(spec, str):
-        spec = VariantSpec(spec)
+    _variant(variant)
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not values:
@@ -454,10 +412,10 @@ def sweep(axis, values, spec, train_corpus, dev_corpus, test_corpus, config,
             raise ValueError(
                 f"noisy subsample of {size} exceeds pool of {len(data.noisy)}"
             )
-        summary = run_trials(spec, data, cfg, metrics_sink=metrics_sink)
+        summary = run_trials(variant, data, cfg, metrics_sink=metrics_sink)
         rows.append(SweepRow(
             axis_value=float(value),
-            variant=spec.name,
+            variant=variant,
             mean_f1=summary.mean_f1,
             se=summary.se,
             n_seeds=summary.n_seeds,

@@ -189,6 +189,47 @@ class TestBackwardSemantics:
         assert "(2, 3)" in str(err.value)
 
 
+class TestNoGrad:
+    def test_ops_record_no_parents(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with ad.no_grad():
+            out = ad.softmax(ad.add(ad.matmul(Tensor(np.ones((3, 2))), w), 1.0))
+        assert out._parents == ()
+        assert not out.requires_grad
+        np.testing.assert_allclose(out.values, 0.5)
+        # a loss built on the output afterwards treats it as a constant
+        v = Tensor(np.ones((3, 2)), requires_grad=True)
+        ad.reduce_sum(ad.mul(out, v)).backward()
+        np.testing.assert_array_equal(v.grad, out.values)
+        assert w._grad is None
+
+    def test_values_match_the_recording_mode(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        m = Tensor(rng.standard_normal((3, 2)))
+        recorded = ad.relu(ad.matmul(x, m))
+        with ad.no_grad():
+            plain = ad.relu(ad.matmul(x, m))
+        np.testing.assert_array_equal(plain.values, recorded.values)
+        assert recorded.requires_grad and recorded._parents
+
+    def test_nested_blocks_restore_the_previous_mode(self):
+        assert ad.is_grad_enabled()
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not ad.is_grad_enabled()
+            assert not ad.is_grad_enabled()
+        assert ad.is_grad_enabled()
+
+    def test_mode_restored_after_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert ad.is_grad_enabled()
+        x = Tensor(np.ones(2), requires_grad=True)
+        assert ad.mul(x, 2.0)._parents
+
+
 class TestTensorValues:
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
     def test_float_input_kept_as_is(self, dtype):

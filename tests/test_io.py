@@ -189,10 +189,18 @@ class TestExperimentConfig:
         ("dtype", "flaot32", "float32"),
         ("noisy_scope", "al", "all"),
         ("noisy_source", "gazeteer", "gazetteer"),
+        ("variant", "noise-modle", "noise-cleaning-model"),
+        ("pooling", "centre", "center"),
+        ("channel_kind", "permutaion", "permutation"),
     ])
     def test_misspelt_choice_rejected(self, key, bad, good):
         allowed = {"dtype": "float32, float64", "noisy_scope": "rest, all",
-                   "noisy_source": "channel, gazetteer"}[key]
+                   "noisy_source": "channel, gazetteer",
+                   "variant": "base-model, base-model-with-noise, noise-model, "
+                              "noise-model-with-identity-init, noise-adaptation-model, "
+                              "noise-cleaning-model",
+                   "pooling": "final, center",
+                   "channel_kind": "uniform, permutation, empirical"}[key]
         for make in (lambda v: ExperimentConfig(**{key: v}),
                      lambda v: ExperimentConfig.from_text(f"{key} = {v}\n")):
             with pytest.raises(ValueError) as err:
@@ -247,7 +255,8 @@ class TestCheckpointDtype:
                                  dtype=config.numpy_dtype)
         noise = NoiseMatrix(np.eye(label_set.k), dtype=config.numpy_dtype)
         path = tmp_path / "checkpoint.npz"
-        save_checkpoint(path, model, vocab, label_set, config, noise=noise)
+        save_checkpoint(path, model.state_dict(), vocab, label_set, config,
+                        noise_b=noise.b_matrix())
         model2, _, _, config2, noise2, _ = load_checkpoint(path)
         assert config2.numpy_dtype is np.float32
         assert all(p.values.dtype == np.float32 for p in model2.parameters())
@@ -255,3 +264,54 @@ class TestCheckpointDtype:
         theta = noise2.theta_tensor().values  # the theta training multiplies by
         assert theta.dtype == np.float32
         np.testing.assert_array_equal(theta, noise.theta_tensor().values)
+
+
+class TestCheckpointSave:
+    def _save(self, path, hidden_size=4):
+        from noisylab.checkpoint import save_checkpoint
+        from noisylab.model import WindowClassifier
+
+        config = ExperimentConfig(hidden_size=hidden_size, dense_size=3)
+        vocab = Vocabulary(["alpha", "beta"])
+        table = np.random.default_rng(0).standard_normal((vocab.size, 5))
+        model = WindowClassifier(table, k=LabelSet().k, hidden_size=hidden_size,
+                                 dense_size=3)
+        save_checkpoint(path, model.state_dict(), vocab, LabelSet(), config,
+                        noise_b=np.eye(5), selected_epoch=2, dev_f1_history=[0.1, 0.3, 0.5])
+        return model
+
+    def test_round_trip(self, tmp_path):
+        from noisylab.checkpoint import load_checkpoint
+
+        path = tmp_path / "checkpoint.npz"
+        model = self._save(path)
+        loaded, _, _, _, noise, extras = load_checkpoint(path)
+        for name, values in model.state_dict().items():
+            np.testing.assert_array_equal(loaded.state_dict()[name], values)
+        np.testing.assert_array_equal(noise.b_matrix(), np.eye(5))
+        assert extras == {"selected_epoch": 2, "dev_f1_history": [0.1, 0.3, 0.5]}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
+
+    def test_failed_save_leaves_no_temp_file_and_the_old_checkpoint(self, tmp_path,
+                                                                    monkeypatch):
+        from noisylab.checkpoint import load_checkpoint
+
+        path = tmp_path / "checkpoint.npz"
+        self._save(path, hidden_size=4)
+        before = path.read_bytes()
+
+        def fail_midway(fh, **arrays):
+            fh.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", fail_midway)
+        with pytest.raises(OSError, match="disk full"):
+            self._save(path, hidden_size=6)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
+        assert path.read_bytes() == before
+        monkeypatch.undo()
+        assert load_checkpoint(path)[3].hidden_size == 4
+        with pytest.raises(OSError):
+            monkeypatch.setattr(np, "savez", fail_midway)
+            self._save(tmp_path / "fresh.npz")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]

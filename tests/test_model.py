@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import noisylab.autodiff as ad
+from noisylab import kernels
 from noisylab.autodiff import Tensor, cross_entropy, gradient_check
 from noisylab.model import (
     CleaningNetwork,
     LabelSet,
     NoiseMatrix,
     WindowClassifier,
-    WindowExample,
     build_window,
     noisy_forward,
     one_hot,
@@ -84,20 +84,6 @@ class TestBuildWindow:
         mat = sentence_windows(ids, pad_id=0)
         for i in range(4):
             assert list(mat[i]) == build_window(ids, i, pad=0)
-
-
-class TestWindowExample:
-    def test_clean_requires_y(self):
-        with pytest.raises(ValueError):
-            WindowExample(np.zeros(7), source="clean")
-
-    def test_noisy_requires_z(self):
-        with pytest.raises(ValueError):
-            WindowExample(np.zeros(7), source="noisy")
-
-    def test_window_length_enforced(self):
-        with pytest.raises(ValueError):
-            WindowExample(np.zeros(5), clean_label=0)
 
 
 class TestThetaFromB:
@@ -210,8 +196,10 @@ class TestBaseForward:
         ids = rng.integers(0, 11, size=(6, 7))
         for pooling in ("final", "center"):
             model = tiny_model(pooling=pooling)
-            np.testing.assert_allclose(model.infer_probs(ids), model.probs(ids).values,
-                                       atol=1e-14)
+            with ad.no_grad():
+                scanned = model.probs(ids)
+            assert scanned._parents == ()
+            np.testing.assert_allclose(scanned.values, model.probs(ids).values, atol=1e-14)
 
     def test_matches_straight_line_reimplementation(self):
         model = tiny_model(seed=7)
@@ -242,14 +230,15 @@ class TestBaseForward:
         expected = np.exp(logits - logits.max())
         expected /= expected.sum()
 
-        np.testing.assert_allclose(model.base_forward(ids[0]), expected, atol=1e-10)
+        np.testing.assert_allclose(model.probs(ids).values[0], expected, atol=1e-10)
 
     def test_center_pooling_differs_and_is_valid(self):
         final = tiny_model(seed=1)
         center = tiny_model(seed=1, pooling="center")
         ids = np.array([[1, 2, 3, 4, 5, 6, 7]])
-        p_final = final.infer_probs(ids)
-        p_center = center.infer_probs(ids)
+        with ad.no_grad():
+            p_final = final.probs(ids).values
+            p_center = center.probs(ids).values
         np.testing.assert_allclose(p_center.sum(axis=1), 1.0, atol=1e-12)
         assert not np.allclose(p_final, p_center)
 
@@ -281,7 +270,6 @@ class TestCleaningNetwork:
         combined = np.concatenate([projected, onehot], axis=1)
         expected = np.clip(combined @ cleaner.comb_w.values + cleaner.comb_b.values + onehot, 0, 1)
         np.testing.assert_allclose(cleaner.forward(feats, onehot).values, expected, atol=1e-10)
-        np.testing.assert_allclose(cleaner.infer(feats, onehot), expected, atol=1e-10)
 
 
 class TestPredict:
@@ -300,6 +288,18 @@ class TestPredict:
 
     def test_tie_breaks_to_lowest_index(self):
         assert int(np.argmax(np.array([0.4, 0.4, 0.2]))) == 0
+
+    def test_never_runs_the_training_scan(self, monkeypatch):
+        model = tiny_model(seed=6)
+        ids = np.random.default_rng(6).integers(0, 11, size=(9, 7))
+        expected = np.argmax(model.probs(ids).values, axis=-1)
+
+        def training_scan(*args):
+            raise AssertionError("prediction ran kernels.lstm_forward")
+
+        monkeypatch.setattr(kernels, "lstm_forward", training_scan)
+        np.testing.assert_array_equal(model.predict(ids), expected)
+        assert model.infer_features(ids).shape == (9, 6)
 
     def test_repeated_calls_stable(self):
         model = tiny_model(seed=5)

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from noisylab import kernels
 from noisylab.config import ExperimentConfig
 from noisylab.data import prepare
 from noisylab.model import CleaningNetwork, NoiseMatrix
@@ -14,7 +15,7 @@ from noisylab.rng import substream
 from noisylab.toydata import generate_corpus
 from noisylab.training import (
     VARIANTS,
-    VariantSpec,
+    _clean_noisy_labels,
     evaluate_split,
     mean_and_se,
     predict_split,
@@ -100,11 +101,19 @@ class TestSchedule:
     def test_adaptation_all_noisy_full(self):
         assert schedule("noise-adaptation-model", 3) == ["noisy-full"] * 3
 
-    def test_variant_names_validated(self):
-        with pytest.raises(ValueError):
-            VariantSpec("fancy-model")
-        for name in VARIANTS:
-            VariantSpec(name)
+    def test_unknown_variant_lists_the_names(self):
+        with pytest.raises(ValueError) as err:
+            schedule("fancy-model", 3)
+        assert "'fancy-model'" in str(err.value)
+        assert ", ".join(VARIANTS) in str(err.value)
+        assert len(VARIANTS) == 6
+
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_trained_phases_follow_the_schedule(self, tiny_data, name):
+        config = dataclasses.replace(TINY, epochs=3, pretrain_epochs=1)
+        records = []
+        train_variant(name, tiny_data, config, trial_seed=4, metrics_sink=records.append)
+        assert [r["phase"] for r in records] == schedule(name, 3)
 
 
 class TestEpochFunctions:
@@ -231,7 +240,8 @@ class TestTrainVariant:
         for name in VARIANTS:
             result = train_variant(name, tiny_data, config, trial_seed=3)
             assert 0.0 <= result.test_f1 <= 1.0
-            if VariantSpec(name).uses_noise_layer:
+            _, noise_init = VARIANTS[name]
+            if noise_init is not None:
                 assert result.theta is not None
                 np.testing.assert_allclose(result.theta.sum(axis=1), 1.0, atol=1e-12)
             else:
@@ -248,14 +258,14 @@ class TestTrainVariant:
         config = dataclasses.replace(TINY, dtype="float32", epochs=1)
         data = fresh_data(corpora, config)
         seen = []
-        infer = CleaningNetwork.infer
+        forward = CleaningNetwork.forward
 
         def spy(self, features, noisy_onehot):
-            out = infer(self, features, noisy_onehot)
-            seen.append((features.dtype, noisy_onehot.dtype, out.dtype))
+            out = forward(self, features, noisy_onehot)
+            seen.append((features.values.dtype, noisy_onehot.dtype, out.values.dtype))
             return out
 
-        monkeypatch.setattr(CleaningNetwork, "infer", spy)
+        monkeypatch.setattr(CleaningNetwork, "forward", spy)
         train_variant("noise-cleaning-model", data, config, trial_seed=0)
         assert seen
         assert all(dtypes == (np.float32,) * 3 for dtypes in seen), seen
@@ -407,6 +417,23 @@ class TestPredictSplit:
         expected = np.array([model.predict(window)[0] for window in split.token_ids])
         for eval_batch in (1, 64, 10_000):
             np.testing.assert_array_equal(predict_split(model, split, eval_batch), expected)
+
+    def test_prediction_and_relabelling_never_run_the_training_scan(
+            self, tiny_data, model, monkeypatch):
+        split = tiny_data.dev
+        expected = predict_split(model, split, 64)
+        cleaner = CleaningNetwork(20, 5, proj_size=4, seed=0)
+        indices = np.arange(50)
+        _, relabelled = _clean_noisy_labels(model, cleaner, tiny_data.noisy, indices, 5, 16)
+
+        def training_scan(*args):
+            raise AssertionError("prediction ran kernels.lstm_forward")
+
+        monkeypatch.setattr(kernels, "lstm_forward", training_scan)
+        np.testing.assert_array_equal(predict_split(model, split, 64), expected)
+        np.testing.assert_array_equal(
+            _clean_noisy_labels(model, cleaner, tiny_data.noisy, indices, 5, 16)[1],
+            relabelled)
 
     def test_one_evaluation_is_one_read(self, tiny_data, model):
         split = tiny_data.test
