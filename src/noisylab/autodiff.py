@@ -4,8 +4,10 @@ Ops build an eager computation graph of :class:`Tensor` nodes; calling
 ``backward()`` on a scalar root accumulates d(root)/d(leaf) into the
 ``grad`` of every reachable leaf with ``requires_grad``.  Each backward
 pass contributes independently, so two passes without zeroing yield
-exactly twice the gradient of one pass.  Inside ``no_grad()`` ops record
-no parents, so their outputs are constants that ``backward`` never reaches.
+exactly twice the gradient of one pass.  An op records its parents and
+backward rule (:func:`_node`) only where a gradient can reach it: inside
+``no_grad()``, or when no input requires a gradient, its output is a
+constant.
 
 64-bit floats are the default; 32-bit is available for speed by passing
 float32 arrays in (ops preserve the input dtype).
@@ -27,7 +29,7 @@ _grad_enabled = True
 
 @contextmanager
 def no_grad():
-    """Within this block ops record no parents (for prediction)."""
+    """Within this block ops record no graph (for prediction)."""
     global _grad_enabled
     previous = _grad_enabled
     _grad_enabled = False
@@ -55,19 +57,18 @@ class Tensor:
     # the optim.ParameterPack whose buffers hold this tensor's values and
     # gradient, once an optimizer has packed it
     _pack = None
+    # graph history, set by _node on an op's output
+    _parents = ()
+    _backward = None
+    _op = "leaf"
 
-    def __init__(self, values, requires_grad=False, _parents=(), _backward=None, _op="leaf"):
+    def __init__(self, values, requires_grad=False):
         values = np.asarray(values)
         if values.dtype.kind != "f":
             values = values.astype(DEFAULT_DTYPE)
-        if not _grad_enabled:
-            _parents = ()
         self.values = values
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
+        self.requires_grad = bool(requires_grad)
         self._grad = None
-        self._parents = tuple(_parents)
-        self._backward = _backward
-        self._op = _op
 
     @property
     def shape(self):
@@ -148,17 +149,27 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _node(op, values, parents, backward):
+    """An op's output.  Only when grad mode is on and some parent requires a
+    gradient does it record ``parents`` and ``backward`` (a function from
+    the output's gradient to one gradient per parent, None to skip one);
+    otherwise it is a constant that ``backward`` never reaches."""
+    out = Tensor(values)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = backward
+        out._op = op
+    return out
 
 
-def _as_operand(x, ref):
-    """Coerce ``x`` for a binary op with ``ref``; plain scalars follow the
-    tensor's dtype so float32 graphs stay float32."""
+def _as_tensor(x, ref=None):
+    """``x`` as a Tensor; a plain scalar operand of a binary op follows the
+    other operand ``ref``'s dtype, so float32 graphs stay float32."""
     if isinstance(x, Tensor):
         return x
-    if np.isscalar(x):
-        return Tensor(np.asarray(x, dtype=ref.values.dtype))
+    if ref is not None and np.isscalar(x):
+        x = np.asarray(x, dtype=ref.values.dtype)
     return Tensor(x)
 
 
@@ -175,10 +186,10 @@ def _unbroadcast(g, shape):
 def _operands(op, a, b):
     """Both operands of an elementwise op as Tensors of broadcastable shapes."""
     if isinstance(a, Tensor):
-        b = _as_operand(b, a)
+        b = _as_tensor(b, a)
     else:
         b = _as_tensor(b)
-        a = _as_operand(a, b)
+        a = _as_tensor(a, b)
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -188,39 +199,34 @@ def _operands(op, a, b):
 
 def add(a, b):
     a, b = _operands("add", a, b)
-    out = Tensor(a.values + b.values, _parents=(a, b), _op="add")
-    out._backward = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
-    return out
+    return _node("add", a.values + b.values, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a, b):
     a, b = _operands("sub", a, b)
-    out = Tensor(a.values - b.values, _parents=(a, b), _op="sub")
-    out._backward = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
-    return out
+    return _node("sub", a.values - b.values, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a, b):
     a, b = _operands("mul", a, b)
-    out = Tensor(a.values * b.values, _parents=(a, b), _op="mul")
-    out._backward = lambda g: (
+    return _node("mul", a.values * b.values, (a, b), lambda g: (
         _unbroadcast(g * b.values, a.shape),
         _unbroadcast(g * a.values, b.shape),
-    )
-    return out
+    ))
 
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
-    out = Tensor(a.values @ b.values, _parents=(a, b), _op="matmul")
-    out._backward = lambda g: (g @ b.values.T, a.values.T @ g)
-    return out
+    return _node("matmul", a.values @ b.values, (a, b),
+                 lambda g: (g @ b.values.T, a.values.T @ g))
 
 
 def concat(tensors, axis=-1):
-    tensors = [_as_tensor(t) for t in tensors]
+    tensors = tuple(_as_tensor(t) for t in tensors)
     ref = tensors[0].values
     for t in tensors[1:]:
         if t.values.ndim != ref.ndim:
@@ -233,34 +239,26 @@ def concat(tensors, axis=-1):
         raise ShapeMismatch(
             f"concat: shapes {[t.shape for t in tensors]} on axis {axis}"
         ) from None
-    out = Tensor(values, _parents=tuple(tensors), _op="concat")
     sizes = [t.values.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
-    out._backward = lambda g: tuple(np.split(g, splits, axis=axis))
-    return out
+    return _node("concat", values, tensors, lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
 def sigmoid(x):
     x = _as_tensor(x)
     y = 1.0 / (1.0 + np.exp(-x.values))
-    out = Tensor(y, _parents=(x,), _op="sigmoid")
-    out._backward = lambda g: (g * y * (1.0 - y),)
-    return out
+    return _node("sigmoid", y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
 def tanh(x):
     x = _as_tensor(x)
     y = np.tanh(x.values)
-    out = Tensor(y, _parents=(x,), _op="tanh")
-    out._backward = lambda g: (g * (1.0 - y * y),)
-    return out
+    return _node("tanh", y, (x,), lambda g: (g * (1.0 - y * y),))
 
 
 def relu(x):
     x = _as_tensor(x)
-    out = Tensor(np.maximum(x.values, 0.0), _parents=(x,), _op="relu")
-    out._backward = lambda g: (g * (x.values > 0.0),)
-    return out
+    return _node("relu", np.maximum(x.values, 0.0), (x,), lambda g: (g * (x.values > 0.0),))
 
 
 def softmax(x, axis=-1):
@@ -269,56 +267,39 @@ def softmax(x, axis=-1):
     shifted = x.values - x.values.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, _parents=(x,), _op="softmax")
 
     def _back(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         return ((g - dot) * y,)
 
-    out._backward = _back
-    return out
+    return _node("softmax", y, (x,), _back)
 
 
 def log(x):
     x = _as_tensor(x)
-    out = Tensor(np.log(x.values), _parents=(x,), _op="log")
-    out._backward = lambda g: (g / x.values,)
-    return out
-
-
-def exp(x):
-    x = _as_tensor(x)
-    y = np.exp(x.values)
-    out = Tensor(y, _parents=(x,), _op="exp")
-    out._backward = lambda g: (g * y,)
-    return out
+    return _node("log", np.log(x.values), (x,), lambda g: (g / x.values,))
 
 
 def absolute(x):
     x = _as_tensor(x)
-    out = Tensor(np.abs(x.values), _parents=(x,), _op="abs")
     # subgradient at 0 is 0, which np.sign provides
-    out._backward = lambda g: (g * np.sign(x.values),)
-    return out
+    return _node("abs", np.abs(x.values), (x,), lambda g: (g * np.sign(x.values),))
 
 
 def clamp_min(x, floor):
     x = _as_tensor(x)
-    out = Tensor(np.maximum(x.values, floor), _parents=(x,), _op="clamp_min")
-    out._backward = lambda g: (g * (x.values > floor),)
-    return out
+    return _node("clamp_min", np.maximum(x.values, floor), (x,),
+                 lambda g: (g * (x.values > floor),))
 
 
 def clip(x, lo, hi):
     x = _as_tensor(x)
-    out = Tensor(np.clip(x.values, lo, hi), _parents=(x,), _op="clip")
-    out._backward = lambda g: (g * ((x.values > lo) & (x.values < hi)),)
-    return out
+    return _node("clip", np.clip(x.values, lo, hi), (x,),
+                 lambda g: (g * ((x.values > lo) & (x.values < hi)),))
 
 
 def reduce_sum(x, axis=None, keepdims=False):
     x = _as_tensor(x)
-    out = Tensor(x.values.sum(axis=axis, keepdims=keepdims), _parents=(x,), _op="sum")
 
     def _back(g):
         if axis is None:
@@ -326,8 +307,7 @@ def reduce_sum(x, axis=None, keepdims=False):
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, x.shape).copy(),)
 
-    out._backward = _back
-    return out
+    return _node("sum", x.values.sum(axis=axis, keepdims=keepdims), (x,), _back)
 
 
 def take_per_row(x, idx):
@@ -337,15 +317,13 @@ def take_per_row(x, idx):
     if x.values.ndim != 2 or idx.ndim != 1 or idx.shape[0] != x.shape[0]:
         raise ShapeMismatch(f"take_per_row: {x.shape} with index shape {idx.shape}")
     rows = np.arange(x.shape[0])
-    out = Tensor(x.values[rows, idx], _parents=(x,), _op="take_per_row")
 
     def _back(g):
         dx = np.zeros_like(x.values)
         np.add.at(dx, (rows, idx), g)
         return (dx,)
 
-    out._backward = _back
-    return out
+    return _node("take_per_row", x.values[rows, idx], (x,), _back)
 
 
 def take_time(x, t):
@@ -353,15 +331,13 @@ def take_time(x, t):
     x = _as_tensor(x)
     if x.values.ndim != 3:
         raise ShapeMismatch(f"take_time: expected rank 3, got {x.shape}")
-    out = Tensor(x.values[:, t, :].copy(), _parents=(x,), _op="take_time")
 
     def _back(g):
         dx = np.zeros_like(x.values)
         dx[:, t, :] = g
         return (dx,)
 
-    out._backward = _back
-    return out
+    return _node("take_time", x.values[:, t, :].copy(), (x,), _back)
 
 
 def embedding_lookup(table, ids):
@@ -370,23 +346,18 @@ def embedding_lookup(table, ids):
     ids = np.asarray(ids, dtype=np.int64)
     if table.values.ndim != 2:
         raise ShapeMismatch(f"embedding_lookup: table shape {table.shape}")
-    out = Tensor(table.values[ids], _parents=(table,), _op="embedding_lookup")
 
     def _back(g):
         dt = np.zeros_like(table.values)
         np.add.at(dt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
         return (dt,)
 
-    out._backward = _back
-    return out
+    return _node("embedding_lookup", table.values[ids], (table,), _back)
 
 
-def lstm_sequence(x, w_in, w_rec, bias, reverse=False):
-    """Fused LSTM scan over x (B, T, E) returning all hidden states (B, T, H).
-
-    ``reverse=True`` scans right to left; outputs stay aligned with the
-    input order, so out[:, t] is the state after consuming tokens T-1..t.
-    The heavy lifting happens in :mod:`noisylab.kernels`.
+def lstm_sequence(x, w_in, w_rec, bias):
+    """Fused LSTM scan over x (B, T, E), left to right, returning all hidden
+    states (B, T, H).  The heavy lifting happens in :mod:`noisylab.kernels`.
     """
     x, w_in, w_rec, bias = map(_as_tensor, (x, w_in, w_rec, bias))
     if x.values.ndim != 3 or x.shape[2] != w_in.shape[0]:
@@ -395,27 +366,18 @@ def lstm_sequence(x, w_in, w_rec, bias, reverse=False):
         raise ShapeMismatch(f"lstm_sequence: w_in {w_in.shape} with w_rec {w_rec.shape}")
     if bias.values.ndim != 1 or bias.shape[0] != w_in.shape[1]:
         raise ShapeMismatch(f"lstm_sequence: bias {bias.shape} with w_in {w_in.shape}")
-    xv = x.values if not reverse else x.values[:, ::-1, :]
-    xv = np.ascontiguousarray(xv)
+    xv = np.ascontiguousarray(x.values)
     h_all, c_all, tc_all, gates = kernels.lstm_forward(
         xv, w_in.values, w_rec.values, bias.values
     )
-    values = h_all if not reverse else h_all[:, ::-1, :]
-    out = Tensor(np.ascontiguousarray(values), _parents=(x, w_in, w_rec, bias), _op="lstm")
 
     def _back(g):
-        dh_all = g if not reverse else g[:, ::-1, :]
-        dh_all = np.ascontiguousarray(dh_all, dtype=xv.dtype)
-        dx, dw_in, dw_rec, dbias = kernels.lstm_backward(
+        return kernels.lstm_backward(
             xv, w_in.values, w_rec.values, h_all, c_all, tc_all, gates,
-            dh_all, x.requires_grad,
+            np.ascontiguousarray(g, dtype=xv.dtype), x.requires_grad,
         )
-        if dx is not None and reverse:
-            dx = np.ascontiguousarray(dx[:, ::-1, :])
-        return (dx, dw_in, dw_rec, dbias)
 
-    out._backward = _back
-    return out
+    return _node("lstm", np.ascontiguousarray(h_all), (x, w_in, w_rec, bias), _back)
 
 
 def cross_entropy(predicted, targets):
@@ -456,9 +418,7 @@ cross_entropy.clamp_events = 0
 
 
 def _reshape_row(t):
-    out = Tensor(t.values.reshape(1, -1), _parents=(t,), _op="row")
-    out._backward = lambda g: (g.reshape(t.shape),)
-    return out
+    return _node("row", t.values.reshape(1, -1), (t,), lambda g: (g.reshape(t.shape),))
 
 
 def absolute_error(predicted, target):

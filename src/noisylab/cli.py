@@ -21,7 +21,7 @@ from .data import build_channel_spec, corpus_windows, prepare
 from .fileio import atomic_write_json, atomic_write_text, jsonl_line
 from .gazetteer import Gazetteer, annotate
 from .model import LabelSet
-from .noise import apply_channel, estimate_confusion, init_noise_weights
+from .noise import CHANNEL_KINDS, apply_channel, estimate_confusion, init_noise_weights
 from .toydata import gazetteer_file_text, generate_splits, toy_gazetteer_pairs
 
 
@@ -220,8 +220,7 @@ def build_parser():
     p = sub.add_parser("simulate-noise", help="corrupt gold labels through a channel")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--kind", choices=["uniform", "permutation", "empirical"],
-                   default="empirical")
+    p.add_argument("--kind", choices=CHANNEL_KINDS, default="empirical")
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--permutation", default="")
     p.add_argument("--preset", default="")

@@ -13,7 +13,7 @@ import numpy as np
 from .conll import CorpusDocument
 from .embeddings import build_vocab_words, load_embeddings, random_embeddings
 from .gazetteer import annotate
-from .model import LabelSet, sentence_windows
+from .model import WINDOW_SIZE, LabelSet, sentence_windows
 from .noise import NoiseChannelSpec, apply_channel
 from .rng import substream
 
@@ -125,7 +125,7 @@ class SplitDataset:
 
 
 def corpus_windows(corpus: CorpusDocument, vocab, name, label_set=None,
-                   y_names=None, z=None, y_flat=None, eval_only_y=None):
+                   y_names=None, z=None, eval_only_y=None):
     """Build a TrackedSplit of all token windows in corpus order."""
     rows = []
     lengths = []
@@ -133,17 +133,13 @@ def corpus_windows(corpus: CorpusDocument, vocab, name, label_set=None,
         ids = vocab.encode(sentence.tokens)
         rows.append(sentence_windows(ids, vocab.pad_id))
         lengths.append(len(sentence.tokens))
-    token_ids = np.concatenate(rows) if rows else np.zeros((0, 7), dtype=np.int64)
-    y = None
-    if y_flat is not None:
-        y = np.asarray(y_flat, dtype=np.int64)
-    elif y_names is not None:
-        y = label_set.encode(y_names)
+    token_ids = (np.concatenate(rows) if rows
+                 else np.zeros((0, WINDOW_SIZE), dtype=np.int64))
     return TrackedSplit(
         name=name,
         token_ids=token_ids,
         sentence_lengths=np.asarray(lengths, dtype=np.int64),
-        y=y,
+        y=None if y_names is None else label_set.encode(y_names),
         z=None if z is None else np.asarray(z, dtype=np.int64),
         eval_only_y=None if eval_only_y is None else np.asarray(eval_only_y, dtype=np.int64),
     )
@@ -153,7 +149,8 @@ def build_channel_spec(kind, label_set, seed, rho=0.0, permutation="", preset=""
                        matrix_path="") -> NoiseChannelSpec:
     """Channel of ``kind`` (one of ``noise.CHANNEL_KINDS``).  ``permutation``
     is comma-separated class names; an empirical channel takes the preset
-    "gazetteer-like" or else the matrix CSV at ``matrix_path``."""
+    "gazetteer-like" or else the matrix CSV at ``matrix_path``, whose
+    classes must be ``label_set``'s, in order."""
     if kind == "uniform":
         return NoiseChannelSpec.uniform(rho, k=label_set.k, seed=seed)
     if kind == "permutation":
@@ -164,8 +161,14 @@ def build_channel_spec(kind, label_set, seed, rho=0.0, permutation="", preset=""
         return NoiseChannelSpec.gazetteer_like(seed=seed)
     if matrix_path:
         from .evaluation import parse_matrix_csv
-        with open(matrix_path, encoding="utf-8") as fh:
-            _, matrix = parse_matrix_csv(fh.read())
+        try:
+            with open(matrix_path, encoding="utf-8") as fh:
+                classes, matrix = parse_matrix_csv(fh.read())
+            if tuple(classes) != label_set.classes:
+                raise ValueError(f"classes {classes} differ from the label set "
+                                 f"{list(label_set.classes)}")
+        except ValueError as err:
+            raise ValueError(f"{matrix_path}: {err}") from None
         return NoiseChannelSpec.empirical(matrix, seed=seed)
     raise ValueError("empirical channel needs a preset or a matrix file")
 

@@ -157,13 +157,27 @@ def matrix_csv(matrix, label_set: LabelSet, corner="clean\\noisy") -> str:
 
 
 def parse_matrix_csv(text):
-    """Inverse of :func:`matrix_csv`; returns (class names, matrix)."""
-    lines = [line for line in text.strip().split("\n") if line]
-    classes = lines[0].split(",")[1:]
-    rows = []
-    for line in lines[1:]:
+    """Inverse of :func:`matrix_csv`; returns (class names, matrix).
+
+    The row names must repeat the header's class names, in order.  A short
+    or long row, or a cell that is not a number, is an error naming its line.
+    """
+    lines = [(n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
+    if not lines:
+        raise ValueError("empty matrix file")
+    classes = lines[0][1].split(",")[1:]
+    names, rows = [], []
+    for n, line in lines[1:]:
         cells = line.split(",")
-        rows.append([float(v) for v in cells[1:]])
+        if len(cells) != len(classes) + 1:
+            raise ValueError(f"line {n}: {len(cells) - 1} values for {len(classes)} classes")
+        try:
+            rows.append([float(v) for v in cells[1:]])
+        except ValueError as err:
+            raise ValueError(f"line {n}: {err}") from None
+        names.append(cells[0])
+    if names != classes:
+        raise ValueError(f"row names {names} differ from the header's {classes}")
     return classes, np.array(rows)
 
 

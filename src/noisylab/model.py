@@ -96,7 +96,9 @@ class _Network:
     """A network whose Tensors are the attributes named in STATE."""
 
     def parameters(self):
-        return [getattr(self, name) for name in self.STATE]
+        """The STATE tensors that require a gradient, in STATE order."""
+        tensors = (getattr(self, name) for name in self.STATE)
+        return [t for t in tensors if t.requires_grad]
 
     def state_dict(self):
         return {name: getattr(self, name).values.copy() for name in self.STATE}
@@ -110,8 +112,8 @@ class WindowClassifier(_Network):
     """Embedding lookup, BiLSTM encoder, dense ReLU, softmax over classes.
 
     The window representation is the concatenation of one forward and one
-    backward LSTM state; ``pooling`` selects which step ("final" takes the
-    state after the whole window, "center" the states at the target token).
+    backward LSTM state; ``pooling`` selects how far each direction reads
+    ("final" the whole window, "center" up to the target token).
     """
 
     STATE = ("embedding", "fw_in", "fw_rec", "fw_bias", "bw_in", "bw_rec", "bw_bias",
@@ -129,7 +131,6 @@ class WindowClassifier(_Network):
         self.hidden_size = h
         self.dense_size = dense_size
         self.pooling = pooling
-        self.trainable_embeddings = trainable_embeddings
         self.embedding = Tensor(embed, requires_grad=trainable_embeddings)
         def t(name, shape, fan_in):
             return _uniform_param(seed, "init", name, shape, fan_in, dtype)
@@ -144,38 +145,28 @@ class WindowClassifier(_Network):
         self.out_w = t("out_w", (dense_size, k), dense_size)
         self.out_b = Tensor(np.zeros(k, dtype=dtype), requires_grad=True)
 
-    def parameters(self):
-        names = self.STATE if self.trainable_embeddings else self.STATE[1:]
-        return [getattr(self, name) for name in names]
-
-    def _pool_steps(self):
-        if self.pooling == "center":
-            return WINDOW_RADIUS, WINDOW_RADIUS
-        return WINDOW_SIZE - 1, 0
-
     def features(self, token_ids):
         """BiLSTM window representation as a Tensor of shape (B, 2H).
 
-        Under ``autodiff.no_grad`` nothing will be differentiated, so each
-        direction runs the cache-free prediction scan instead: only up to
-        its pooled step, evaluating each distinct token and window prefix
-        once.
+        Each direction scans its ids (the backward one the window reversed)
+        for ``steps`` tokens and reads its last state.  Under
+        ``autodiff.no_grad`` nothing will be differentiated, so the scan is
+        the cache-free prediction one, which evaluates each distinct token
+        and window prefix once.
         """
         ids = np.atleast_2d(token_ids)
-        step_f, step_b = self._pool_steps()
-        if not ad.is_grad_enabled():
-            table = self.embedding.values
-            hf = kernels.lstm_last_hidden(
-                table, ids, self.fw_in.values, self.fw_rec.values, self.fw_bias.values,
-                step_f + 1)
-            hb = kernels.lstm_last_hidden(
-                table, ids[:, ::-1], self.bw_in.values, self.bw_rec.values,
-                self.bw_bias.values, WINDOW_SIZE - step_b)
-            return Tensor(np.concatenate([hf, hb], axis=1))
-        x = ad.embedding_lookup(self.embedding, ids)
-        hf = ad.lstm_sequence(x, self.fw_in, self.fw_rec, self.fw_bias)
-        hb = ad.lstm_sequence(x, self.bw_in, self.bw_rec, self.bw_bias, reverse=True)
-        return ad.concat([ad.take_time(hf, step_f), ad.take_time(hb, step_b)], axis=1)
+        steps = WINDOW_RADIUS + 1 if self.pooling == "center" else WINDOW_SIZE
+        record = ad.is_grad_enabled()
+        states = []
+        for scan, w_in, w_rec, bias in ((ids, self.fw_in, self.fw_rec, self.fw_bias),
+                                        (ids[:, ::-1], self.bw_in, self.bw_rec, self.bw_bias)):
+            if record:
+                x = ad.embedding_lookup(self.embedding, scan[:, :steps])
+                states.append(ad.take_time(ad.lstm_sequence(x, w_in, w_rec, bias), steps - 1))
+            else:
+                states.append(Tensor(kernels.lstm_last_hidden(
+                    self.embedding.values, scan, w_in.values, w_rec.values, bias.values, steps)))
+        return ad.concat(states, axis=1)
 
     def probs(self, token_ids):
         """Class distributions as a Tensor of shape (B, k)."""

@@ -1,6 +1,8 @@
 """Engine-level tests: op gradients against finite differences, loss values
 against hand evaluation, and the backward-pass accounting rules."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,7 @@ class TestOpGradients:
             [a, b],
         )
 
-    @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh, ad.relu, ad.exp, ad.absolute])
+    @pytest.mark.parametrize("op", [ad.sigmoid, ad.tanh, ad.relu, ad.absolute])
     def test_elementwise(self, op):
         rng = np.random.default_rng(8)
         # offset keeps values away from the relu/abs kinks
@@ -220,6 +222,54 @@ class TestNoGrad:
                 assert not ad.is_grad_enabled()
             assert not ad.is_grad_enabled()
         assert ad.is_grad_enabled()
+
+    # every op acceptance C1 checks, plus those the losses are built from
+    OPS = {
+        "matmul": lambda t: ad.matmul(t.a, t.w),
+        "add": lambda t: ad.add(t.a, t.b),
+        "sub": lambda t: ad.sub(t.a, t.b),
+        "mul": lambda t: ad.mul(t.a, t.b),
+        "concat": lambda t: ad.concat([t.a, t.b], axis=1),
+        "sigmoid": lambda t: ad.sigmoid(t.a),
+        "tanh": lambda t: ad.tanh(t.a),
+        "relu": lambda t: ad.relu(t.a),
+        "softmax": lambda t: ad.softmax(t.a),
+        "log": lambda t: ad.log(t.positive),
+        "absolute": lambda t: ad.absolute(t.a),
+        "clamp_min": lambda t: ad.clamp_min(t.a, 0.0),
+        "clip": lambda t: ad.clip(t.a, 0.0, 1.0),
+        "sum": lambda t: ad.reduce_sum(t.a, axis=0),
+        "embedding_lookup": lambda t: ad.embedding_lookup(t.a, np.array([[0, 2], [1, 1]])),
+        "take_per_row": lambda t: ad.take_per_row(t.a, np.array([0, 2, 1])),
+        "take_time": lambda t: ad.take_time(t.seq, 1),
+        "lstm": lambda t: ad.lstm_sequence(t.seq, t.w_in, t.w_rec, t.bias),
+        "cross_entropy": lambda t: cross_entropy(ad.softmax(t.a), np.array([0, 1, 3])),
+        "cross_entropy_one_row": lambda t: cross_entropy(ad.softmax(t.bias), 1),
+    }
+
+    @staticmethod
+    def operands(requires_grad):
+        rng = np.random.default_rng(4)
+        shapes = {"a": (3, 4), "w": (4, 2), "b": (3, 4), "seq": (2, 3, 4),
+                  "w_in": (4, 8), "w_rec": (2, 8), "bias": (8,)}
+        values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        values["positive"] = np.abs(values["a"]) + 0.5
+        return SimpleNamespace(**{name: Tensor(v, requires_grad=requires_grad)
+                                  for name, v in values.items()})
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_output_is_a_constant_where_no_gradient_can_reach(self, name):
+        op = self.OPS[name]
+        recorded = op(self.operands(requires_grad=True))
+        assert recorded.requires_grad and recorded._parents and recorded._backward
+        with ad.no_grad():
+            unrecorded = op(self.operands(requires_grad=True))
+        constant = op(self.operands(requires_grad=False))
+        for out in (unrecorded, constant):
+            assert not out.requires_grad
+            assert out._parents == ()
+            assert out._backward is None
+            np.testing.assert_array_equal(out.values, recorded.values)
 
     def test_mode_restored_after_an_exception(self):
         with pytest.raises(RuntimeError):

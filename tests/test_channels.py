@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from noisylab.config import ExperimentConfig
+from noisylab.data import prepare
 from noisylab.model import theta_from_b
 from noisylab.noise import (
     GAZETTEER_LIKE_MATRIX,
@@ -14,6 +16,7 @@ from noisylab.noise import (
     init_noise_weights,
     prediction_confusion_init,
 )
+from noisylab.toydata import generate_corpus
 
 
 class TestApplyChannel:
@@ -180,3 +183,78 @@ class TestPredictionConfusionInit:
         theta = theta_from_b(prediction_confusion_init(
             rng.integers(0, 3, 50), rng.integers(0, 3, 50), k=3))
         np.testing.assert_allclose(theta.sum(axis=1), 1.0, atol=1e-12)
+
+
+# a channel that keeps every label except PER, which it sends to O
+PER_TO_O = (
+    "clean\\noisy,O,PER,ORG,LOC,MISC\n"
+    "O,1,0,0,0,0\n"
+    "PER,1,0,0,0,0\n"
+    "ORG,0,0,1,0,0\n"
+    "LOC,0,0,0,1,0\n"
+    "MISC,0,0,0,0,1\n"
+)
+
+
+def reorder_classes(text, order):
+    """The same channel written with its classes in another order."""
+    rows = {line.split(",", 1)[0]: line.split(",")[1:]
+            for line in text.strip().split("\n")[1:]}
+    header = text.split("\n", 1)[0].split(",")[1:]
+    col = [header.index(name) for name in order]
+    lines = [",".join(["clean\\noisy"] + list(order))]
+    lines += [",".join([name] + [rows[name][c] for c in col]) for name in order]
+    return "\n".join(lines) + "\n"
+
+
+class TestChannelMatrixFile:
+    """An empirical channel read from a CSV file through ``prepare``."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self):
+        return generate_corpus(21, 600), generate_corpus(22, 200), generate_corpus(23, 200)
+
+    def prepare_with(self, corpora, tmp_path, text):
+        path = tmp_path / "channel.csv"
+        path.write_text(text, encoding="utf-8")
+        config = ExperimentConfig(train_path="", dev_path="", test_path="",
+                                  clean_budget=100, embedding_dim=4,
+                                  channel_kind="empirical", channel_preset="",
+                                  channel_matrix_path=str(path))
+        return path, prepare(config, *corpora)
+
+    def test_classes_are_read_from_the_header(self, corpora, tmp_path):
+        _, data = self.prepare_with(corpora, tmp_path, PER_TO_O)
+        y, z = data.noisy.eval_only_y, data.noisy.z
+        per, o = data.label_set.index("PER"), data.label_set.index("O")
+        assert (y == per).any()
+        np.testing.assert_array_equal(z, np.where(y == per, o, y))
+
+    def test_header_in_another_order_is_rejected(self, corpora, tmp_path):
+        text = reorder_classes(PER_TO_O, ["PER", "O", "ORG", "LOC", "MISC"])
+        with pytest.raises(ValueError) as err:
+            self.prepare_with(corpora, tmp_path, text)
+        message = str(err.value)
+        assert str(tmp_path / "channel.csv") in message
+        assert "['PER', 'O', 'ORG', 'LOC', 'MISC']" in message
+        assert "['O', 'PER', 'ORG', 'LOC', 'MISC']" in message
+
+    def test_four_classes_for_five_labels_are_rejected(self, corpora, tmp_path):
+        text = reorder_classes(PER_TO_O, ["O", "PER", "ORG", "LOC"])
+        with pytest.raises(ValueError, match=r"\['O', 'PER', 'ORG', 'LOC'\] differ"):
+            self.prepare_with(corpora, tmp_path, text)
+
+    def test_row_names_must_follow_the_header(self, corpora, tmp_path):
+        text = PER_TO_O.replace("\nORG,", "\nLOC,", 1).replace("\nLOC,0,0,0,1", "\nORG,0,0,0,1")
+        with pytest.raises(ValueError, match="row names .*'LOC', 'ORG'.* differ"):
+            self.prepare_with(corpora, tmp_path, text)
+
+    def test_bad_cell_names_its_line(self, corpora, tmp_path):
+        text = PER_TO_O.replace("ORG,0,0,1", "ORG,0,x,1")
+        with pytest.raises(ValueError, match=r"channel\.csv: line 4: .*'x'"):
+            self.prepare_with(corpora, tmp_path, text)
+
+    def test_short_row_names_its_line(self, corpora, tmp_path):
+        text = PER_TO_O.replace("LOC,0,0,0,1,0", "LOC,0,0,0,1")
+        with pytest.raises(ValueError, match=r"channel\.csv: line 5: 4 values for 5 classes"):
+            self.prepare_with(corpora, tmp_path, text)

@@ -104,6 +104,33 @@ class TestSimulateNoise:
         assert parse_conll(read(out)).flat_labels() == \
             parse_conll(read(toy_dir / "train.conll")).flat_labels()
 
+    # PER sent to O, written with PER's row and column first
+    PER_FIRST = (
+        "clean\\noisy,PER,O,ORG,LOC,MISC\n"
+        "PER,0,1,0,0,0\n"
+        "O,0,1,0,0,0\n"
+        "ORG,0,0,1,0,0\n"
+        "LOC,0,0,0,1,0\n"
+        "MISC,0,0,0,0,1\n"
+    )
+
+    @pytest.mark.parametrize("text, message", [
+        (PER_FIRST, "classes ['PER', 'O', 'ORG', 'LOC', 'MISC'] differ from the label set "
+                    "['O', 'PER', 'ORG', 'LOC', 'MISC']"),
+        (PER_FIRST.replace("ORG,0,0,1,0,0", "ORG,0,0,1,0,zero"), "line 4: "),
+        (PER_FIRST.replace("LOC,0,0,0,1,0", "LOC,0,0,0,1"), "line 5: 4 values for 5 classes"),
+    ], ids=["class-order", "bad-cell", "short-row"])
+    def test_matrix_file_rejected_with_exit_2(self, toy_dir, tmp_path, capsys, text, message):
+        matrix = tmp_path / "channel.csv"
+        matrix.write_text(text, encoding="utf-8")
+        out = tmp_path / "noisy.conll"
+        code = main(["simulate-noise", "--input", str(toy_dir / "train.conll"),
+                     "--output", str(out), "--kind", "empirical", "--matrix", str(matrix)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {matrix}: {message}" in err
+        assert not out.exists()
+
 
 class TestInitTheta:
     def test_weights_from_aligned_files(self, toy_dir, tmp_path):
@@ -187,6 +214,25 @@ class TestTrainEvaluateReport:
         np.testing.assert_allclose(theta.sum(axis=1), 1.0, atol=1e-9)
         _, b = parse_matrix_csv(read(out / "noise_b.csv"))
         assert b.shape == (5, 5)
+
+    def test_cleaning_model_checkpoint_rescores_to_the_summary_f1(
+            self, toy_dir, tiny_config_text, tmp_path):
+        # the cleaning network never takes part in prediction, so the
+        # classifier's state alone reproduces the test score
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(tiny_config_text.replace("variant = noise-model",
+                                                "variant = noise-cleaning-model"),
+                       encoding="utf-8")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        summary = json.loads(read(run / "summary.json"))
+        assert summary["variant"] == "noise-cleaning-model"
+        assert summary["test_f1"] > 0, "fixture needs entity predictions"
+        ev = tmp_path / "eval"
+        assert main(["evaluate", "--checkpoint", str(run / "checkpoint.npz"),
+                     "--test", str(toy_dir / "test.conll"), "--out", str(ev)]) == 0
+        report = json.loads(read(ev / "report.json"))
+        assert report["overall"]["f1"] == summary["test_f1"]
 
 
 class TestNonFiniteExit:

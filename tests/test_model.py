@@ -242,6 +242,28 @@ class TestBaseForward:
         np.testing.assert_allclose(p_center.sum(axis=1), 1.0, atol=1e-12)
         assert not np.allclose(p_final, p_center)
 
+    @pytest.mark.parametrize("pooling, steps", [("final", 7), ("center", 4)])
+    def test_training_scans_each_direction_up_to_the_pooled_step(
+            self, pooling, steps, monkeypatch):
+        scanned = []
+        forward = kernels.lstm_forward
+
+        def recording_forward(x, *weights):
+            scanned.append(x.shape[1])
+            return forward(x, *weights)
+
+        monkeypatch.setattr(kernels, "lstm_forward", recording_forward)
+        model = tiny_model(pooling=pooling)
+        ids = np.random.default_rng(5).integers(0, 11, size=(4, 7))
+        cross_entropy(model.probs(ids), np.array([0, 1, 2, 0])).backward()
+        assert scanned == [steps, steps]
+
+    def test_parameters_are_the_state_tensors_that_train(self):
+        frozen = tiny_model()
+        assert frozen.parameters() == [getattr(frozen, n) for n in frozen.STATE[1:]]
+        trainable = tiny_model(trainable_embeddings=True)
+        assert trainable.parameters() == [getattr(trainable, n) for n in trainable.STATE]
+
 
 class TestCleaningNetwork:
     def test_zero_combiner_reproduces_noisy_label(self):
@@ -315,6 +337,17 @@ class TestFullPipelineGradients:
         randomize(model.parameters(), seed=60)
         ids = np.array([[1, 2, 3, 4, 5, 6, 7], [2, 0, 4, 9, 1, 0, 3]])
         targets = np.array([0, 2])
+
+        def loss():
+            return cross_entropy(model.probs(ids), targets)
+
+        assert gradient_check(loss, model.parameters(), h=1e-5) < 1e-4
+
+    def test_center_pooling_gradient_check_with_trainable_embeddings(self):
+        model = tiny_model(seed=10, pooling="center", trainable_embeddings=True)
+        randomize(model.parameters(), seed=62)
+        ids = np.array([[1, 2, 3, 4, 5, 6, 7], [2, 0, 4, 9, 1, 0, 3]])
+        targets = np.array([1, 0])
 
         def loss():
             return cross_entropy(model.probs(ids), targets)
