@@ -30,9 +30,13 @@ each step.
 
 import os
 import resource
+import sys
 import time
 
 import numpy as np
+
+# the checkout's own package, whether or not one is installed
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from noisylab import kernels
 from noisylab.data import corpus_windows

@@ -44,8 +44,7 @@ def cmd_annotate(args):
     gaz = _load_gazetteer(args)
     labeled = annotate((s.tokens for s in corpus.sentences), gaz)
     for sentence, labels in zip(corpus.sentences, labeled):
-        for lab in labels:
-            label_set.index(lab)  # validated against the label set
+        label_set.encode(labels)  # validated against the label set
         sentence.labels = labels
     atomic_write_text(args.output, write_conll(corpus))
     print(f"annotated {corpus.token_count} tokens -> {args.output}")

@@ -6,6 +6,7 @@ variant is allowed to read.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from .conll import CorpusDocument
 from .embeddings import build_vocab_words, load_embeddings, random_embeddings
 from .gazetteer import annotate
-from .model import WINDOW_SIZE, LabelSet, sentence_windows
+from .model import LabelSet, token_windows
 from .noise import NoiseChannelSpec, apply_channel
 from .rng import substream
 
@@ -127,18 +128,11 @@ class SplitDataset:
 def corpus_windows(corpus: CorpusDocument, vocab, name, label_set=None,
                    y_names=None, z=None, eval_only_y=None):
     """Build a TrackedSplit of all token windows in corpus order."""
-    rows = []
-    lengths = []
-    for sentence in corpus.sentences:
-        ids = vocab.encode(sentence.tokens)
-        rows.append(sentence_windows(ids, vocab.pad_id))
-        lengths.append(len(sentence.tokens))
-    token_ids = (np.concatenate(rows) if rows
-                 else np.zeros((0, WINDOW_SIZE), dtype=np.int64))
+    lengths = np.array([len(s.tokens) for s in corpus.sentences], dtype=np.int64)
     return TrackedSplit(
         name=name,
-        token_ids=token_ids,
-        sentence_lengths=np.asarray(lengths, dtype=np.int64),
+        token_ids=token_windows(vocab.encode(corpus.all_tokens()), lengths, vocab.pad_id),
+        sentence_lengths=lengths,
         y=None if y_names is None else label_set.encode(y_names),
         z=None if z is None else np.asarray(z, dtype=np.int64),
         eval_only_y=None if eval_only_y is None else np.asarray(eval_only_y, dtype=np.int64),
@@ -148,17 +142,16 @@ def corpus_windows(corpus: CorpusDocument, vocab, name, label_set=None,
 def build_channel_spec(kind, label_set, seed, rho=0.0, permutation="", preset="",
                        matrix_path="") -> NoiseChannelSpec:
     """Channel of ``kind`` (one of ``noise.CHANNEL_KINDS``).  ``permutation``
-    is comma-separated class names; an empirical channel takes the preset
-    "gazetteer-like" or else the matrix CSV at ``matrix_path``, whose
-    classes must be ``label_set``'s, in order."""
+    is comma-separated class names; an empirical channel reads the matrix
+    CSV at ``matrix_path`` when one is given, whose classes must be
+    ``label_set``'s, in order, and otherwise takes the preset
+    "gazetteer-like"."""
     if kind == "uniform":
         return NoiseChannelSpec.uniform(rho, k=label_set.k, seed=seed)
     if kind == "permutation":
         names = [n.strip() for n in permutation.split(",")]
         perm = [label_set.index(n) for n in names]
         return NoiseChannelSpec.from_permutation(perm, seed=seed)
-    if preset == "gazetteer-like":
-        return NoiseChannelSpec.gazetteer_like(seed=seed)
     if matrix_path:
         from .evaluation import parse_matrix_csv
         try:
@@ -170,6 +163,8 @@ def build_channel_spec(kind, label_set, seed, rho=0.0, permutation="", preset=""
         except ValueError as err:
             raise ValueError(f"{matrix_path}: {err}") from None
         return NoiseChannelSpec.empirical(matrix, seed=seed)
+    if preset == "gazetteer-like":
+        return NoiseChannelSpec.gazetteer_like(seed=seed)
     raise ValueError("empirical channel needs a preset or a matrix file")
 
 
@@ -192,24 +187,20 @@ def prepare(config, train_corpus, dev_corpus, test_corpus, gazetteer=None) -> Sp
         train_corpus, config.clean_budget, seed=config.seed
     )
     noisy_corpus = train_corpus if config.noisy_scope == "all" else rest_corpus
+    noisy_y = label_set.encode(noisy_corpus.flat_labels())
 
     if config.noisy_source == "gazetteer":
         if gazetteer is None:
             raise ValueError("gazetteer mode needs a gazetteer")
-        noisy_z = label_set.encode(
-            [lab for sent in annotate((s.tokens for s in noisy_corpus.sentences), gazetteer)
-             for lab in sent]
-        )
-        clean_z = label_set.encode(
-            [lab for sent in annotate((s.tokens for s in clean_corpus.sentences), gazetteer)
-             for lab in sent]
-        )
+        noisy_z, clean_z = (
+            label_set.encode(chain.from_iterable(
+                annotate((s.tokens for s in corpus.sentences), gazetteer)))
+            for corpus in (noisy_corpus, clean_corpus))
     else:
         spec = build_channel_spec(
             config.channel_kind, label_set, config.seed, rho=config.channel_rho,
             permutation=config.channel_permutation, preset=config.channel_preset,
             matrix_path=config.channel_matrix_path)
-        noisy_y = label_set.encode(noisy_corpus.flat_labels())
         noisy_z = apply_channel(noisy_y, spec, stream="noisy")
         clean_y_flat = label_set.encode(clean_corpus.flat_labels())
         clean_z = apply_channel(clean_y_flat, spec, stream="clean-init")
@@ -226,7 +217,7 @@ def prepare(config, train_corpus, dev_corpus, test_corpus, gazetteer=None) -> Sp
     )
     noisy_split = corpus_windows(
         noisy_corpus, vocab, "noisy", label_set,
-        z=noisy_z, eval_only_y=label_set.encode(noisy_corpus.flat_labels()),
+        z=noisy_z, eval_only_y=noisy_y,
     )
     dev_split = corpus_windows(dev_corpus, vocab, "dev", label_set,
                                y_names=dev_corpus.flat_labels())

@@ -22,14 +22,12 @@ class Vocabulary:
         return len(self.words) + 2
 
     def lookup(self, word):
-        idx = self._index.get(word)
-        if idx is not None:
-            return idx
-        idx = self._index.get(word.lower())
-        return idx if idx is not None else self.unk_id
+        return self.encode((word,))[0]
 
     def encode(self, tokens):
-        return [self.lookup(t) for t in tokens]
+        """Id of every token: exact match, then lowercase, then UNK."""
+        get, unk = self._index.get, self.unk_id
+        return [i if (i := get(t)) is not None else get(t.lower(), unk) for t in tokens]
 
 
 def load_embeddings(path, expected_dim=None):
@@ -76,11 +74,7 @@ def write_embeddings(path, words, table):
 
 def build_vocab_words(token_iter):
     """Unique tokens in first-occurrence order."""
-    seen = {}
-    for token in token_iter:
-        if token not in seen:
-            seen[token] = None
-    return list(seen)
+    return list(dict.fromkeys(token_iter))
 
 
 def random_embeddings(words, dim, seed):

@@ -44,6 +44,8 @@ class Gazetteer:
             if current is None or self._rank(cls) < self._rank(current):
                 self.entries[key] = cls
             self.max_len = max(self.max_len, len(key))
+        # a position whose token starts no entry can match nothing
+        self.first_tokens = frozenset(key[0] for key in self.entries)
 
     def _rank(self, cls):
         try:
@@ -85,22 +87,24 @@ def load_blocklist(path) -> list[str]:
 
 
 def annotate_sentence(tokens: Sequence[str], gazetteer: Gazetteer) -> list[str]:
-    """Labels for one sentence; greedy left-to-right, longest match first."""
+    """Labels for one sentence; greedy left-to-right, longest match first.
+
+    Only positions whose token starts some entry are looked up: the
+    blocklist only removes matches, so no other position can match.
+    """
     n = len(tokens)
     labels = ["O"] * n
-    i = 0
-    while i < n:
-        matched = False
+    starts = gazetteer.first_tokens
+    end = 0  # first position not inside an earlier match
+    for i, token in enumerate(tokens):
+        if i < end or token not in starts:
+            continue
         for length in range(min(gazetteer.max_len, n - i), 0, -1):
             cls = gazetteer.lookup(tokens[i:i + length])
             if cls is not None:
-                for j in range(i, i + length):
-                    labels[j] = cls
-                i += length
-                matched = True
+                labels[i:i + length] = [cls] * length
+                end = i + length
                 break
-        if not matched:
-            i += 1
     return labels
 
 

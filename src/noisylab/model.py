@@ -43,22 +43,26 @@ class LabelSet:
         return len(self.classes)
 
     def index(self, name):
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ValueError(f"unknown label {name!r}") from None
+        return int(self.encode((name,))[0])
 
     def name(self, index):
         return self.classes[index]
 
     def encode(self, names):
-        return np.array([self.index(n) for n in names], dtype=np.int64)
+        """Index of every name as an int64 array; an unknown name raises."""
+        get = self._by_name.get
+        return np.array([i if (i := get(n)) is not None else _unknown_label(n)
+                         for n in names], dtype=np.int64)
 
     def __eq__(self, other):
         return isinstance(other, LabelSet) and self.classes == other.classes
 
     def __repr__(self):
         return f"LabelSet({self.classes!r})"
+
+
+def _unknown_label(name):
+    raise ValueError(f"unknown label {name!r}")
 
 
 def build_window(sentence, target_index, pad):
@@ -74,16 +78,24 @@ def build_window(sentence, target_index, pad):
     return window
 
 
-def sentence_windows(token_ids, pad_id):
-    """All windows of a sentence as an (n, WINDOW_SIZE) int array."""
+def token_windows(token_ids, lengths, pad_id):
+    """Every token's window as an (n, WINDOW_SIZE) int64 array.
+
+    ``token_ids`` holds the sentences of ``lengths`` end to end; row i is
+    :func:`build_window` of token i in its own sentence.  The sentences are
+    laid out with WINDOW_RADIUS pad ids before, between and after them, so
+    each token's window is one slice of that layout.
+    """
     ids = np.asarray(token_ids, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
     n = ids.shape[0]
-    padded = np.full(n + 2 * WINDOW_RADIUS, pad_id, dtype=np.int64)
-    padded[WINDOW_RADIUS:WINDOW_RADIUS + n] = ids
-    out = np.empty((n, WINDOW_SIZE), dtype=np.int64)
-    for i in range(n):
-        out[i] = padded[i:i + WINDOW_SIZE]
-    return out
+    if n == 0:
+        return np.zeros((0, WINDOW_SIZE), dtype=np.int64)
+    sentence = np.repeat(np.arange(lengths.shape[0]), lengths)
+    starts = np.arange(n) + sentence * WINDOW_RADIUS  # window start of each token
+    padded = np.full(n + (lengths.shape[0] + 1) * WINDOW_RADIUS, pad_id, dtype=np.int64)
+    padded[starts + WINDOW_RADIUS] = ids
+    return np.lib.stride_tricks.sliding_window_view(padded, WINDOW_SIZE)[starts]
 
 
 def _uniform_param(seed, stream, name, shape, fan_in, dtype):

@@ -1,8 +1,10 @@
 """Gazetteer annotation: lookup labeling, conflict heuristics, blocklist."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisylab.gazetteer import Gazetteer, annotate, annotate_sentence
+from noisylab.gazetteer import DEFAULT_PRIORITY, Gazetteer, annotate, annotate_sentence
 
 
 @pytest.fixture
@@ -94,3 +96,45 @@ class TestLoading:
         g = Gazetteer.load(gazfile, blocklist_path=blockfile)
         assert annotate_sentence(["Horizon"], g) == ["O"]
         assert annotate_sentence(["Friday"], g) == ["O"]
+
+
+def brute_force_annotation(tokens, pairs, priority, blocklist):
+    """Greedy longest match over every span length, from the raw pairs."""
+    def rank(cls):
+        return priority.index(cls) if cls in priority else len(priority)
+
+    table = {}
+    for surface, cls in pairs:
+        key = tuple(surface.split())
+        if key and cls != "MISC" and (key not in table or rank(cls) < rank(table[key])):
+            table[key] = cls
+    blocked = {tuple(b.split()) for b in blocklist}
+    labels, i = ["O"] * len(tokens), 0
+    while i < len(tokens):
+        for length in range(len(tokens) - i, 0, -1):
+            key = tuple(tokens[i:i + length])
+            if key in table and key not in blocked:
+                labels[i:i + length] = [table[key]] * length
+                i += length
+                break
+        else:
+            i += 1
+    return labels
+
+
+WORDS = st.sampled_from(["New", "new", "York", "Bank", "of", "Friday", "the"])
+SURFACES = st.lists(WORDS, min_size=1, max_size=3).map(" ".join)
+
+
+class TestAgainstBruteForce:
+    @given(pairs=st.lists(st.tuples(SURFACES, st.sampled_from(["PER", "LOC", "ORG", "MISC",
+                                                                "DATE"])), max_size=12),
+           priority=st.permutations(DEFAULT_PRIORITY),
+           blocklist=st.lists(SURFACES, max_size=3),
+           sentences=st.lists(st.lists(WORDS, max_size=10), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_annotation_is_the_longest_unblocked_match(self, pairs, priority, blocklist,
+                                                        sentences):
+        g = Gazetteer(pairs, priority=priority, blocklist=blocklist)
+        assert annotate(sentences, g) == [
+            brute_force_annotation(s, pairs, priority, blocklist) for s in sentences]

@@ -1,5 +1,7 @@
 """Noise channels, confusion counting, and noise-layer initialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -214,21 +216,36 @@ class TestChannelMatrixFile:
     def corpora(self):
         return generate_corpus(21, 600), generate_corpus(22, 200), generate_corpus(23, 200)
 
-    def prepare_with(self, corpora, tmp_path, text):
+    def prepare_with(self, corpora, tmp_path, text, preset=""):
         path = tmp_path / "channel.csv"
         path.write_text(text, encoding="utf-8")
         config = ExperimentConfig(train_path="", dev_path="", test_path="",
                                   clean_budget=100, embedding_dim=4,
-                                  channel_kind="empirical", channel_preset="",
+                                  channel_kind="empirical", channel_preset=preset,
                                   channel_matrix_path=str(path))
         return path, prepare(config, *corpora)
 
-    def test_classes_are_read_from_the_header(self, corpora, tmp_path):
-        _, data = self.prepare_with(corpora, tmp_path, PER_TO_O)
+    def assert_per_maps_to_o(self, data):
         y, z = data.noisy.eval_only_y, data.noisy.z
         per, o = data.label_set.index("PER"), data.label_set.index("O")
         assert (y == per).any()
         np.testing.assert_array_equal(z, np.where(y == per, o, y))
+
+    def test_classes_are_read_from_the_header(self, corpora, tmp_path):
+        self.assert_per_maps_to_o(self.prepare_with(corpora, tmp_path, PER_TO_O)[1])
+
+    def test_file_wins_over_the_default_preset(self, corpora, tmp_path):
+        _, data = self.prepare_with(corpora, tmp_path, PER_TO_O, preset="gazetteer-like")
+        self.assert_per_maps_to_o(data)
+
+    def test_missing_file_is_not_replaced_by_the_default_preset(self, corpora, tmp_path):
+        path = tmp_path / "missing.csv"
+        config = ExperimentConfig(train_path="", dev_path="", test_path="",
+                                  clean_budget=100, embedding_dim=4,
+                                  channel_matrix_path=str(path))
+        assert config.channel_preset == "gazetteer-like"
+        with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
+            prepare(config, *corpora)
 
     def test_header_in_another_order_is_rejected(self, corpora, tmp_path):
         text = reorder_classes(PER_TO_O, ["PER", "O", "ORG", "LOC", "MISC"])

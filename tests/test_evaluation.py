@@ -192,6 +192,19 @@ class TestMatrixReports:
         _, parsed = parse_matrix_csv(matrix_csv(m, ls))
         np.testing.assert_array_equal(parsed, m)
 
+    @given(names=st.lists(st.text("ABCXYZ-_0123456789", min_size=1, max_size=4), unique=True,
+                          min_size=1, max_size=5),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_csv_round_trip(self, names, data):
+        ls = LabelSet(["O"] + names)
+        m = np.array(data.draw(st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=ls.k,
+                     max_size=ls.k), min_size=ls.k, max_size=ls.k)))
+        classes, parsed = parse_matrix_csv(matrix_csv(m, ls))
+        assert classes == list(ls.classes)
+        np.testing.assert_array_equal(parsed, m)
+
 
 def _corpus(sentences):
     return CorpusDocument(sentences=[Sentence(tokens=t, labels=l) for t, l in sentences])

@@ -5,9 +5,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisylab.config import ExperimentConfig
-from noisylab.conll import parse_conll, write_conll
+from noisylab.config import CHOICES, RANGES, ExperimentConfig
+from noisylab.conll import CorpusDocument, Sentence, parse_conll, write_conll
 from noisylab.data import sample_clean_subset
 from noisylab.embeddings import (
     Vocabulary,
@@ -61,6 +63,32 @@ class TestParseConll:
         assert again.doc_starts == corpus.doc_starts
 
 
+# whitespace-free tokens; a token starting -DOCSTART- would read as a marker
+TOKENS = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1,
+                 max_size=6).filter(lambda t: not t.startswith("-DOCSTART-"))
+TAGS = st.one_of(st.none(), st.sampled_from(LabelSet().classes))
+
+
+@st.composite
+def corpora(draw):
+    sentences = []
+    for tagged in draw(st.lists(st.lists(st.tuples(TOKENS, TAGS), min_size=1, max_size=6),
+                                max_size=6)):
+        tokens, labels = map(list, zip(*tagged))
+        # a sentence with no tag at all parses as unlabeled
+        sentences.append(Sentence(tokens, None if labels == [None] * len(labels) else labels))
+    starts = draw(st.sets(st.integers(0, len(sentences) - 1))) if sentences else set()
+    return CorpusDocument(sentences=sentences, doc_starts=sorted(starts))
+
+
+class TestConllRoundTrip:
+    @given(corpora())
+    @settings(max_examples=200, deadline=None)
+    def test_write_then_parse_is_lossless(self, corpus):
+        again = parse_conll(write_conll(corpus), LabelSet())
+        assert again == corpus
+
+
 class TestEmbeddings:
     def test_two_words_give_vocab_of_four(self, tmp_path):
         path = tmp_path / "vectors.txt"
@@ -102,6 +130,22 @@ class TestEmbeddings:
         assert vocab.lookup("BRITAIN".lower()) == 0
         assert vocab.lookup("Britain") == 0
         assert vocab.lookup("unknown-token") == vocab.unk_id
+
+    @given(words=st.lists(st.sampled_from(["paris", "Paris", "ROME", "rome", "Oslo", "x"]),
+                          unique=True),
+           tokens=st.lists(st.sampled_from(["paris", "Paris", "PARIS", "Rome", "ROME", "rome",
+                                            "oslo", "Oslo", "x", "X", "y"]), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_encode_is_exact_then_lowercase_then_unk(self, words, tokens):
+        def expected(token):
+            for form in (token, token.lower()):
+                if form in words:
+                    return words.index(form)
+            return len(words) + 1
+
+        vocab = Vocabulary(words)
+        assert vocab.encode(tokens) == [expected(t) for t in tokens]
+        assert [vocab.lookup(t) for t in tokens] == [expected(t) for t in tokens]
 
     def test_random_embeddings_seeded(self):
         words = build_vocab_words(["a", "b", "a", "c"])
@@ -162,6 +206,28 @@ class TestExperimentConfig:
                                   learning_rate=0.01, trainable_embeddings=True)
         again = ExperimentConfig.from_text(config.to_text())
         assert again == config
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_field_round_trips(self, data):
+        text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+        values = {}
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name in CHOICES:
+                strategy = st.sampled_from(CHOICES[f.name])
+            elif f.type in (bool, "bool"):
+                strategy = st.booleans()
+            elif f.type in (int, "int"):
+                strategy = st.integers(1, 2**40)
+            elif RANGES.get(f.name) == "in [0, 1)":
+                strategy = st.floats(0, 1, exclude_max=True)
+            elif f.type in (float, "float"):
+                strategy = st.floats(0, 1e300, exclude_min=f.name in RANGES)
+            else:  # the reader strips a value's surrounding spaces
+                strategy = text.map(str.strip)
+            values[f.name] = data.draw(strategy, label=f.name)
+        config = ExperimentConfig(**values)
+        assert ExperimentConfig.from_text(config.to_text()) == config
 
     def test_defaults_preserved_for_missing_keys(self):
         config = ExperimentConfig.from_text("seed = 3\n")

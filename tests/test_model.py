@@ -3,6 +3,8 @@ independent straight-line re-implementation of the forward passes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noisylab.autodiff as ad
 from noisylab import kernels
@@ -15,8 +17,8 @@ from noisylab.model import (
     build_window,
     noisy_forward,
     one_hot,
-    sentence_windows,
     theta_from_b,
+    token_windows,
 )
 
 
@@ -79,11 +81,22 @@ class TestBuildWindow:
         with pytest.raises(ValueError):
             build_window(["a"], 1, pad="P")
 
-    def test_sentence_windows_matches_build_window(self):
-        ids = [5, 6, 7, 8]
-        mat = sentence_windows(ids, pad_id=0)
-        for i in range(4):
-            assert list(mat[i]) == build_window(ids, i, pad=0)
+    def test_token_windows_matches_build_window(self):
+        sentences = [[5, 6, 7, 8], [9], [1, 2]]
+        mat = token_windows([t for s in sentences for t in s], [4, 1, 2], pad_id=0)
+        rows = [build_window(s, i, pad=0) for s in sentences for i in range(len(s))]
+        assert mat.dtype == np.int64 and mat.flags.c_contiguous
+        assert mat.tolist() == rows
+
+    @given(st.lists(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=12),
+                    max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_token_windows_is_build_window_of_every_token(self, sentences):
+        flat = [t for s in sentences for t in s]
+        mat = token_windows(flat, [len(s) for s in sentences], pad_id=-1)
+        assert mat.shape == (len(flat), 7)
+        assert mat.tolist() == [build_window(s, i, pad=-1)
+                                for s in sentences for i in range(len(s))]
 
 
 class TestThetaFromB:

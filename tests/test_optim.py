@@ -100,7 +100,8 @@ def test_bit_identical_to_textbook_update(dtype):
     start = [rng.standard_normal((4, 3)).astype(dtype), rng.standard_normal(5).astype(dtype),
              np.asfortranarray(rng.standard_normal((3, 4)).astype(dtype))]
     grads = [[rng.standard_normal(s.shape).astype(dtype) for _ in range(20)] for s in start]
-    params = [Tensor(s.copy(), requires_grad=True) for s in start]
+    params = [Tensor(s.copy(order="K"), requires_grad=True) for s in start]
+    assert params[2].values.flags.f_contiguous and not params[2].values.flags.c_contiguous
     opt = Adam(params, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
     for step in range(20):
         for p, g in zip(params, grads):
