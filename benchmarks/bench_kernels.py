@@ -13,7 +13,9 @@ windows of a ``toydata.generate_splits`` dev split, in the sorted order in
 which ``training.predict_split`` scores them, over a random embedding
 table.  It is timed over the whole window ("final" pooling, 7 steps) and
 up to the middle token ("center" pooling, 4 steps), both in the forward
-direction.  The distinct-token and distinct-prefix counts of that split
+direction, in two columns each: building the prefix plan of those ids
+(``kernels.prefix_plan``, which ``training.predict_split`` does once per
+split) and the scan over the prebuilt plan (the per-epoch work).  The distinct-token and distinct-prefix counts of that split
 are printed first.  The backward is timed on caches computed once.  Each
 figure is the median of REPEATS calls with its quartiles in brackets, in
 ms: with several BLAS threads on few cores single calls can stall, which
@@ -138,7 +140,7 @@ def time_adam_step(rng, e, h, dense):
     return f"{median:.3f} [{q1:.3f}, {q3:.3f}]", faults / ADAM_STEPS, n_params
 
 
-COLUMNS = ("fwd", "bwd", "fwd+bwd", "predict 7", "predict 4")
+COLUMNS = ("fwd", "bwd", "fwd+bwd", "plan 7", "predict 7", "plan 4", "predict 4")
 
 
 def main():
@@ -165,9 +167,13 @@ def main():
             time_ms(lambda: kernels.lstm_forward(x, w_in, w_rec, bias)),
             time_ms(lambda: kernels.lstm_backward(x, w_in, w_rec, *caches, dh, True)),
             time_ms(train_step),
-            time_ms(lambda: kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, 7)),
-            time_ms(lambda: kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, 4)),
         )
+        for steps in (7, 4):
+            plan = kernels.prefix_plan(ids, steps)
+            figures += (
+                time_ms(lambda: kernels.prefix_plan(ids, steps)),
+                time_ms(lambda: kernels.lstm_last_hidden(table, plan, w_in, w_rec, bias)),
+            )
         print(f"{str(size):>20} " + " ".join(f"{f:>26}" for f in figures))
     print()
     header = (f"{'Adam (E,H,dense)':>20} {'parameters':>11} {'step ms':>26} "

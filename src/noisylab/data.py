@@ -61,6 +61,7 @@ class TrackedSplit:
     eval_only_y: Optional[np.ndarray] = None  # diagnostics, never for training
     reads: int = 0
     _distinct: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return self.token_ids.shape[0]
@@ -87,6 +88,14 @@ class TrackedSplit:
             rows, inverse = np.unique(self.token_ids, axis=0, return_inverse=True)
             self._distinct = (rows, inverse.reshape(-1))
         return self._distinct
+
+    def distinct_plans(self, start, stop):
+        """Prefix-plan dict of distinct rows ``start:stop``, for
+        ``WindowClassifier.predict``; kept with the distinct rows, so the
+        plans of a chunk are built on the split's first prediction of it.
+        Not a read: it belongs to rows that ``take_distinct`` handed out.
+        """
+        return self._plans.setdefault((start, stop), {})
 
     def sequences(self, which="y"):
         """Per-sentence label arrays (for entity-level scoring)."""

@@ -7,23 +7,11 @@ class all match a gold span.
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .model import LabelSet
 from .noise import estimate_confusion
-
-
-@dataclass(frozen=True)
-class EntitySpan:
-    start: int
-    end: int  # inclusive
-    label: int
-
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError(f"span start {self.start} after end {self.end}")
 
 
 @dataclass
@@ -87,53 +75,61 @@ class PRFReport:
         return "\n".join(lines) + "\n"
 
 
-def extract_spans(labels: Sequence[int], o_index=0) -> list[EntitySpan]:
-    """Maximal runs of one non-O class, as (start, end inclusive, class)."""
-    spans = []
-    start = None
-    current = o_index
-    for i, label in enumerate(labels):
-        label = int(label)
-        if label != current:
-            if current != o_index:
-                spans.append(EntitySpan(start, i - 1, current))
-            start = i
-            current = label
-    if current != o_index and len(labels):
-        spans.append(EntitySpan(start, len(labels) - 1, current))
-    return spans
+def entity_spans(labels, lengths, o_index=0):
+    """Entity spans of sentences laid end to end, as three int64 arrays in
+    order: start, end (inclusive) and class.
 
-
-def spans_to_labels(spans: Iterable[EntitySpan], length: int, o_index=0) -> list[int]:
-    """Write spans back onto a sequence of O labels."""
-    labels = [o_index] * length
-    for span in spans:
-        for i in range(span.start, span.end + 1):
-            labels[i] = span.label
-    return labels
+    ``labels`` holds the sentences of ``lengths`` end to end; a span is a
+    maximal run of one non-O class inside one sentence, so a run that
+    crosses a sentence boundary is two spans.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    n = labels.shape[0]
+    # cut[i]: a run starts at position i (0 <= i < n) and one ends before it
+    cut = np.ones(n + 1, bool)
+    np.not_equal(labels[1:], labels[:-1], out=cut[1:n])
+    cut[np.cumsum(lengths, dtype=np.int64)] = True
+    entity = labels != o_index
+    starts = np.flatnonzero(cut[:-1] & entity)
+    ends = np.flatnonzero(cut[1:] & entity)
+    return starts, ends, labels[starts]
 
 
 def entity_prf(gold_sequences, predicted_sequences, label_set: LabelSet) -> PRFReport:
-    """Span-exact scoring; micro-averaged overall counts sum the per-class ones."""
+    """Span-exact scoring; micro-averaged overall counts sum the per-class ones.
+
+    The spans of all sentences are found in one pass over their labels
+    laid end to end.  Each span is keyed as one int (start, end, class), a
+    true positive is a key found on both sides, and the counts per class
+    are ``bincount``s of the keys' classes.
+    """
     if len(gold_sequences) != len(predicted_sequences):
         raise ValueError(
             f"{len(gold_sequences)} gold vs {len(predicted_sequences)} predicted sequences"
         )
-    o = label_set.o_index
+    lengths = np.array([len(g) for g in gold_sequences], dtype=np.int64)
+    predicted_lengths = np.array([len(p) for p in predicted_sequences], dtype=np.int64)
+    differ = np.flatnonzero(lengths != predicted_lengths)
+    if differ.size:
+        i = differ[0]
+        raise ValueError(f"sequence {i}: length {lengths[i]} vs {predicted_lengths[i]}")
+    o, k = label_set.o_index, label_set.k
+    n = int(lengths.sum())
+
+    def keys_and_counts(sequences):
+        labels = np.concatenate(sequences) if len(sequences) else ()
+        starts, ends, classes = entity_spans(labels, lengths, o)
+        return (starts * n + ends) * k + classes, np.bincount(classes, minlength=k)
+
+    gold_keys, gold_counts = keys_and_counts(gold_sequences)
+    predicted_keys, predicted_counts = keys_and_counts(predicted_sequences)
+    matched = np.intersect1d(gold_keys, predicted_keys, assume_unique=True)
+    tp = np.bincount(matched % k, minlength=k)
     per_class = {
-        name: ClassScores() for i, name in enumerate(label_set.classes) if i != o
+        name: ClassScores(tp=int(tp[i]), fp=int(predicted_counts[i] - tp[i]),
+                          fn=int(gold_counts[i] - tp[i]))
+        for i, name in enumerate(label_set.classes) if i != o
     }
-    for seq_index, (gold, pred) in enumerate(zip(gold_sequences, predicted_sequences)):
-        if len(gold) != len(pred):
-            raise ValueError(f"sequence {seq_index}: length {len(gold)} vs {len(pred)}")
-        gold_spans = set(extract_spans(gold, o))
-        pred_spans = set(extract_spans(pred, o))
-        for span in gold_spans & pred_spans:
-            per_class[label_set.name(span.label)].tp += 1
-        for span in pred_spans - gold_spans:
-            per_class[label_set.name(span.label)].fp += 1
-        for span in gold_spans - pred_spans:
-            per_class[label_set.name(span.label)].fn += 1
     overall = ClassScores(
         tp=sum(s.tp for s in per_class.values()),
         fp=sum(s.fp for s in per_class.values()),

@@ -7,7 +7,8 @@ al., *Optimizing Performance of RNNs on GPUs*, arXiv 1604.01946), and both
 advance the cell through ``_cell_step``, so the LSTM equations are written
 once.  The training scan projects every step of every row; the prediction
 scan projects each distinct token once and advances each distinct prefix
-of its rows once.
+of its rows once, following a :class:`PrefixPlan` worked out from the ids
+alone, which a caller that scans the same ids again may keep.
 
 Gate layout along the last axis of the packed weight matrices is
 (input, forget, cell, output), each block of width H.  Internally the
@@ -16,6 +17,8 @@ scans work time-major: the projection, the gates and the cell caches are
 Literal constants go through the input's scalar type so float32 inputs
 stay float32.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,25 +81,36 @@ def lstm_forward(x, w_in, w_rec, bias):
     return h_tm.transpose(1, 0, 2), c_all, tc_all, gates
 
 
-def lstm_last_hidden(table, ids, w_in, w_rec, bias, steps):
-    """Hidden state (B, H) of the same scan over ``table[ids]`` (ids (B, T)
-    in scan order) after its first ``steps`` steps.
+class PrefixPlan(NamedTuple):
+    """What the prediction scan over some ids needs besides the weights.
 
-    For prediction: nothing is cached.  The state after t tokens depends
-    only on those t tokens, so each distinct token is projected once (one
-    GEMM, then ``bias``) and each distinct prefix is advanced once.  The
-    rows are sorted once; level t holds the distinct prefixes of length
-    t + 1, and its recurrent term is one GEMM over the distinct prefixes
-    of level t - 1, gathered by parent.
+    ``tokens`` are the distinct ids, projected once.  ``levels[t]`` is the
+    (token, parent) pair of level t, which holds the distinct prefixes of
+    length t + 1: the index into ``tokens`` of each prefix's last token,
+    and the index of the prefix it extends in level t - 1 (None at level
+    0).  ``out`` is, for every row of the ids, its prefix's index in the
+    last level.
+    """
+
+    tokens: np.ndarray
+    levels: tuple
+    out: np.ndarray
+
+
+def prefix_plan(ids, steps):
+    """:class:`PrefixPlan` of the scan over ids (B, T), in scan order, for
+    its first ``steps`` steps.
+
+    A pure function of the ids and the step count, so a caller that scans
+    the same ids again may keep it.  The rows are sorted once; in sorted
+    order a row starts a new prefix of length t + 1 wherever it differs
+    from the row before it in its first t + 1 tokens.
     """
     B, T = ids.shape
     if not 1 <= steps <= T:
         raise ValueError(f"steps {steps} outside 1..{T}")
-    H = w_rec.shape[0]
     ids = ids[:, :steps]
     tokens, tok = np.unique(ids, return_inverse=True)
-    proj = np.dot(table[tokens], w_in)
-    proj += bias
     order = np.lexsort(ids.T[::-1])
     tok = tok.reshape(B, steps)[order]
     # new[r, t]: sorted row r starts a prefix of length t + 1 that the row
@@ -107,22 +121,42 @@ def lstm_last_hidden(table, ids, w_in, w_rec, bias, steps):
     np.logical_or.accumulate(new, axis=1, out=new)
     prefix = np.cumsum(new, axis=0)
     prefix -= 1
-    tc_buf = np.empty((B, H), table.dtype)
-    h_buf = np.empty((B, H), table.dtype)
+    levels = []
     for t in range(steps):
         first = np.flatnonzero(new[:, t])
-        a = proj[tok[first, t]]
-        if t == 0:
-            c = np.zeros((first.size, H), table.dtype)
+        levels.append((tok[first, t], None if t == 0 else prefix[first, t - 1]))
+    out = np.empty(B, np.intp)
+    out[order] = prefix[:, -1]
+    return PrefixPlan(tokens, tuple(levels), out)
+
+
+def lstm_last_hidden(table, plan, w_in, w_rec, bias):
+    """Hidden state (B, H) of the same scan over ``table[ids]`` after its
+    first ``steps`` steps, for the ids and step count ``plan`` was built
+    from (:func:`prefix_plan`).
+
+    For prediction: nothing is cached.  The state after t tokens depends
+    only on those t tokens, so each distinct token is projected once (one
+    GEMM, then ``bias``) and each distinct prefix is advanced once: level
+    t's recurrent term is one GEMM over the distinct prefixes of level
+    t - 1, gathered by parent.
+    """
+    H = w_rec.shape[0]
+    proj = np.dot(table.take(plan.tokens, axis=0), w_in)
+    proj += bias
+    rows = max(tok.size for tok, _ in plan.levels)
+    tc_buf = np.empty((rows, H), table.dtype)
+    h_buf = np.empty((rows, H), table.dtype)
+    for tok, parent in plan.levels:
+        a = proj.take(tok, axis=0)
+        if parent is None:
+            c = np.zeros((tok.size, H), table.dtype)
         else:
-            parent = prefix[first, t - 1]
-            a += np.dot(h, w_rec)[parent]
-            c = c[parent]
-        h = h_buf[:first.size]
-        _cell_step(a, c, c, tc_buf[:first.size], h)
-    out = np.empty((B, H), table.dtype)
-    out[order] = h[prefix[:, -1]]
-    return out
+            a += np.dot(h, w_rec).take(parent, axis=0)
+            c = c.take(parent, axis=0)
+        h = h_buf[:tok.size]
+        _cell_step(a, c, c, tc_buf[:tok.size], h)
+    return h.take(plan.out, axis=0)
 
 
 def lstm_backward(x, w_in, w_rec, h_all, c_all, tc_all, gates, dh_all, need_dx):

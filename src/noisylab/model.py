@@ -143,6 +143,7 @@ class WindowClassifier(_Network):
         self.hidden_size = h
         self.dense_size = dense_size
         self.pooling = pooling
+        self.steps = WINDOW_RADIUS + 1 if pooling == "center" else WINDOW_SIZE
         self.embedding = Tensor(embed, requires_grad=trainable_embeddings)
         def t(name, shape, fan_in):
             return _uniform_param(seed, "init", name, shape, fan_in, dtype)
@@ -157,32 +158,41 @@ class WindowClassifier(_Network):
         self.out_w = t("out_w", (dense_size, k), dense_size)
         self.out_b = Tensor(np.zeros(k, dtype=dtype), requires_grad=True)
 
-    def features(self, token_ids):
+    def features(self, token_ids, plans=None):
         """BiLSTM window representation as a Tensor of shape (B, 2H).
 
         Each direction scans its ids (the backward one the window reversed)
         for ``steps`` tokens and reads its last state.  Under
         ``autodiff.no_grad`` nothing will be differentiated, so the scan is
         the cache-free prediction one, which evaluates each distinct token
-        and window prefix once.
+        and window prefix once.  Its prefix plans come from ``plans``, a
+        dict that a caller scoring the same ids again keeps for them: the
+        plans of this model's step count are read from it, or built and
+        stored in it.  Without one they are built for this call.
         """
         ids = np.atleast_2d(token_ids)
-        steps = WINDOW_RADIUS + 1 if self.pooling == "center" else WINDOW_SIZE
-        record = ad.is_grad_enabled()
-        states = []
-        for scan, w_in, w_rec, bias in ((ids, self.fw_in, self.fw_rec, self.fw_bias),
-                                        (ids[:, ::-1], self.bw_in, self.bw_rec, self.bw_bias)):
-            if record:
-                x = ad.embedding_lookup(self.embedding, scan[:, :steps])
-                states.append(ad.take_time(ad.lstm_sequence(x, w_in, w_rec, bias), steps - 1))
-            else:
-                states.append(Tensor(kernels.lstm_last_hidden(
-                    self.embedding.values, scan, w_in.values, w_rec.values, bias.values, steps)))
+        steps = self.steps
+        scans = (ids, ids[:, ::-1])
+        directions = ((self.fw_in, self.fw_rec, self.fw_bias),
+                      (self.bw_in, self.bw_rec, self.bw_bias))
+        if ad.is_grad_enabled():
+            states = [ad.take_time(ad.lstm_sequence(
+                ad.embedding_lookup(self.embedding, scan[:, :steps]), *weights), steps - 1)
+                for scan, weights in zip(scans, directions)]
+        else:
+            if plans is None:
+                plans = {}
+            if steps not in plans:
+                plans[steps] = [kernels.prefix_plan(scan, steps) for scan in scans]
+            states = [Tensor(kernels.lstm_last_hidden(
+                self.embedding.values, plan, *(w.values for w in weights)))
+                for plan, weights in zip(plans[steps], directions)]
         return ad.concat(states, axis=1)
 
-    def probs(self, token_ids):
-        """Class distributions as a Tensor of shape (B, k)."""
-        feats = self.features(token_ids)
+    def probs(self, token_ids, plans=None):
+        """Class distributions as a Tensor of shape (B, k); ``plans`` as
+        in :meth:`features`."""
+        feats = self.features(token_ids, plans)
         hidden = ad.relu(ad.add(ad.matmul(feats, self.dense_w), self.dense_b))
         logits = ad.add(ad.matmul(hidden, self.out_w), self.out_b)
         return ad.softmax(logits, axis=-1)
@@ -192,13 +202,14 @@ class WindowClassifier(_Network):
         with ad.no_grad():
             return self.features(token_ids).values
 
-    def predict(self, token_ids):
+    def predict(self, token_ids, plans=None):
         """Predicted class per window; ties break toward the lowest index.
+        ``plans`` as in :meth:`features`.
 
         The noise layer and the cleaning network never participate here.
         """
         with ad.no_grad():
-            return np.argmax(self.probs(token_ids).values, axis=-1)
+            return np.argmax(self.probs(token_ids, plans).values, axis=-1)
 
 
 def theta_from_b(b):

@@ -196,11 +196,13 @@ def predict_split(model, split, eval_batch):
 
     Each distinct window is predicted once, in chunks of ``eval_batch``
     rows, and its prediction is scattered back to every place it occurs.
+    Each chunk's prefix plans are kept with the split's distinct rows.
     """
     rows, inverse = split.take_distinct()
     preds = np.empty(rows.shape[0], dtype=np.int64)
     for start in range(0, rows.shape[0], eval_batch):
-        preds[start:start + eval_batch] = model.predict(rows[start:start + eval_batch])
+        stop = start + eval_batch
+        preds[start:stop] = model.predict(rows[start:stop], split.distinct_plans(start, stop))
     return preds[inverse]
 
 
@@ -306,7 +308,8 @@ def train_variant(variant, data: SplitDataset, config, trial_seed,
                     loss = _supervised_pass(model, ids, labels, opt_base, rng,
                                             config.batch_size)
 
-        dev_f1, _ = evaluate_split(model, data.dev, data.label_set, config.eval_batch_size)
+        dev_f1, dev_report = evaluate_split(model, data.dev, data.label_set,
+                                            config.eval_batch_size)
         dev_history.append(dev_f1)
         # dev F1 >= 0, so epoch 0 always sets the best state
         if dev_f1 > best_f1:
@@ -322,6 +325,7 @@ def train_variant(variant, data: SplitDataset, config, trial_seed,
                 "phase": phase,
                 "train_loss": loss,
                 "dev_f1": dev_f1,
+                "dev_per_class": dev_report.as_dict()["per_class"],
             }
             if cleaner_loss is not None:
                 record["cleaner_loss"] = cleaner_loss

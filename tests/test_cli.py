@@ -9,7 +9,7 @@ import pytest
 from noisylab.cli import main
 from noisylab.config import ExperimentConfig
 from noisylab.conll import parse_conll, write_conll
-from noisylab.evaluation import parse_matrix_csv
+from noisylab.evaluation import ClassScores, parse_matrix_csv
 from noisylab.model import LabelSet
 
 
@@ -168,6 +168,20 @@ class TestTrainEvaluateReport:
         summary = json.loads(read(run_dir / "summary.json"))
         assert summary["variant"] == "noise-model"
         assert 0.0 <= summary["test_f1"] <= 1.0
+
+    def test_metrics_hold_per_class_dev_scores(self, run_dir):
+        records = [json.loads(line) for line in read(run_dir / "metrics.jsonl").splitlines()]
+        for record in records:
+            per_class = record["dev_per_class"]
+            assert sorted(per_class) == ["LOC", "MISC", "ORG", "PER"]
+            total = ClassScores(*(sum(row[c] for row in per_class.values())
+                                  for c in ("tp", "fp", "fn")))
+            assert total.f1 == record["dev_f1"]
+            for row in per_class.values():
+                scores = ClassScores(row["tp"], row["fp"], row["fn"])
+                assert (row["precision"], row["recall"], row["f1"]) == (
+                    scores.precision, scores.recall, scores.f1)
+        assert any(record["dev_f1"] > 0 for record in records)
 
     def test_rerun_from_resolved_config_is_bit_identical(self, run_dir, tmp_path):
         out2 = tmp_path / "again"

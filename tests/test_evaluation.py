@@ -1,5 +1,7 @@
-"""Span extraction and entity-level scoring, verified against brute-force
+"""Span finding and entity-level scoring, verified against brute-force
 oracles and a write-back round-trip property."""
+
+import json
 
 import numpy as np
 import pytest
@@ -8,13 +10,11 @@ from hypothesis import strategies as st
 
 from noisylab.conll import CorpusDocument, Sentence
 from noisylab.evaluation import (
-    EntitySpan,
     annotation_quality,
     entity_prf,
-    extract_spans,
+    entity_spans,
     matrix_csv,
     parse_matrix_csv,
-    spans_to_labels,
     theta_report,
     token_confusion,
 )
@@ -39,38 +39,59 @@ def brute_force_spans(labels, o_index=0):
     return spans
 
 
+def spans_of(labels, lengths=None, o_index=0):
+    """(start, end, class) tuples of ``entity_spans`` over one sentence, or
+    over the sentences of ``lengths`` laid end to end."""
+    lengths = [len(labels)] if lengths is None else lengths
+    return list(zip(*(a.tolist() for a in entity_spans(labels, lengths, o_index))))
+
+
 class TestExtractSpans:
     def test_two_runs(self):
         # PER PER O LOC
-        spans = extract_spans([1, 1, 0, 3])
-        assert {(s.start, s.end, s.label) for s in spans} == {(0, 1, 1), (3, 3, 3)}
+        assert spans_of([1, 1, 0, 3]) == [(0, 1, 1), (3, 3, 3)]
 
     def test_all_null(self):
-        assert extract_spans([0, 0, 0]) == []
+        assert spans_of([0, 0, 0]) == []
 
     def test_adjacent_classes_split(self):
-        spans = extract_spans([1, 3])
-        assert [(s.start, s.end, s.label) for s in spans] == [(0, 0, 1), (1, 1, 3)]
+        assert spans_of([1, 3]) == [(0, 0, 1), (1, 1, 3)]
         assert brute_force_spans([1, 3]) == {(0, 0, 1), (1, 1, 3)}
 
     def test_empty_sequence(self):
-        assert extract_spans([]) == []
+        assert spans_of([]) == []
+
+    def test_run_across_sentence_boundary_is_two_spans(self):
+        # PER PER | PER LOC: the PER run is cut where the second sentence starts
+        assert spans_of([1, 1, 1, 3], lengths=[2, 2]) == [(0, 1, 1), (2, 2, 1), (3, 3, 3)]
+
+    def test_zero_length_sentences(self):
+        assert spans_of([2, 2], lengths=[0, 1, 0, 0, 1, 0]) == [(0, 0, 2), (1, 1, 2)]
+        assert spans_of([], lengths=[0, 0]) == []
 
     @given(st.lists(st.integers(min_value=0, max_value=4), max_size=20))
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force(self, labels):
-        ours = {(s.start, s.end, s.label) for s in extract_spans(labels)}
-        assert ours == brute_force_spans(labels)
+        assert set(spans_of(labels)) == brute_force_spans(labels)
+
+    @given(st.lists(st.lists(st.integers(min_value=0, max_value=4), max_size=8), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_per_sentence(self, sentences):
+        expected, offset = [], 0
+        for sentence in sentences:
+            expected += sorted((s + offset, e + offset, c)
+                               for s, e, c in brute_force_spans(sentence))
+            offset += len(sentence)
+        flat = [label for sentence in sentences for label in sentence]
+        assert spans_of(flat, [len(s) for s in sentences]) == expected
 
     @given(st.lists(st.integers(min_value=0, max_value=4), max_size=20))
     @settings(max_examples=200, deadline=None)
     def test_write_back_round_trip(self, labels):
-        spans = extract_spans(labels)
-        assert spans_to_labels(spans, len(labels)) == list(labels)
-
-    def test_invalid_span_rejected(self):
-        with pytest.raises(ValueError):
-            EntitySpan(3, 1, 2)
+        written = [0] * len(labels)
+        for start, end, label in spans_of(labels):
+            written[start:end + 1] = [label] * (end + 1 - start)
+        assert written == list(labels)
 
 
 def brute_force_prf(gold_seqs, pred_seqs, label_set):
@@ -152,6 +173,31 @@ class TestEntityPRF:
         assert report.overall.tp == sum(s.tp for s in report.per_class.values())
         assert report.overall.fp == sum(s.fp for s in report.per_class.values())
         assert report.overall.fn == sum(s.fn for s in report.per_class.values())
+
+    def test_span_ending_one_sentence_and_starting_the_next_counts_twice(self):
+        # gold: PER at the end of sentence 0 and at the start of sentence 1;
+        # predicting both sentences as all PER finds exactly those two spans
+        gold = [[0, 1], [1, 0]]
+        report = entity_prf(gold, [[0, 1], [1, 0]], self.ls)
+        per = report.per_class["PER"]
+        assert (per.tp, per.fp, per.fn) == (2, 0, 0)
+        report = entity_prf(gold, [[1, 1], [1, 1]], self.ls)
+        per = report.per_class["PER"]
+        assert (per.tp, per.fp, per.fn) == (0, 2, 2)
+
+    def test_zero_sentences_and_empty_sentences(self):
+        for gold in ([], [[]], [[], [], []]):
+            report = entity_prf(gold, [list(g) for g in gold], self.ls)
+            assert (report.overall.tp, report.overall.fp, report.overall.fn) == (0, 0, 0)
+            assert report.overall.f1 == 0.0
+        report = entity_prf([[], [2], []], [[], [2], []], self.ls)
+        assert report.per_class["ORG"].tp == 1
+
+    def test_counts_are_python_ints(self):
+        report = entity_prf([np.array([1, 0, 2])], [np.array([1, 0, 0])], self.ls)
+        counts = [getattr(s, f) for s in report.per_class.values() for f in ("tp", "fp", "fn")]
+        assert all(type(c) is int for c in counts)
+        json.dumps(report.as_dict())
 
 
 class TestTokenConfusion:

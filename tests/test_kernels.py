@@ -55,6 +55,12 @@ def make_window_inputs(rng, b=3, t=7, e=4, h=3, vocab=12):
     return table, ids, w_in, w_rec, bias
 
 
+def last_hidden(table, ids, w_in, w_rec, bias, steps):
+    """The prediction scan over ``table[ids]`` for ``steps`` steps, on a
+    prefix plan built for this call."""
+    return kernels.lstm_last_hidden(table, kernels.prefix_plan(ids, steps), w_in, w_rec, bias)
+
+
 def oracle_last_hidden(table, ids, w_in, w_rec, bias, steps):
     return oracle_forward(table[ids], w_in, w_rec, bias)[:, steps - 1, :]
 
@@ -72,7 +78,7 @@ def test_last_hidden_equals_training_scan_at_pooled_step(pooling, b):
     table, ids, w_in, w_rec, bias = make_window_inputs(rng, b=b, t=7, e=4, h=3)
     for steps, seq in zip(POOLED_STEPS[pooling], (ids, ids[:, ::-1])):
         h_all = kernels.lstm_forward(table[seq], w_in, w_rec, bias)[0]
-        h_last = kernels.lstm_last_hidden(table, seq, w_in, w_rec, bias, steps)
+        h_last = last_hidden(table, seq, w_in, w_rec, bias, steps)
         assert h_last.shape == (b, 3)
         np.testing.assert_array_equal(h_last, h_all[:, steps - 1, :])
 
@@ -82,7 +88,7 @@ def test_last_hidden_matches_straight_line_oracle(steps):
     rng = np.random.default_rng(6)
     table, ids, w_in, w_rec, bias = make_window_inputs(rng, b=4, t=7, e=5, h=4)
     expected = oracle_last_hidden(table, ids, w_in, w_rec, bias, steps)
-    got = kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, steps)
+    got = last_hidden(table, ids, w_in, w_rec, bias, steps)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
@@ -90,7 +96,7 @@ def test_last_hidden_keeps_float32():
     rng = np.random.default_rng(7)
     table, ids, w_in, w_rec, bias = make_window_inputs(rng, t=7)
     table, w_in, w_rec, bias = (a.astype(np.float32) for a in (table, w_in, w_rec, bias))
-    h = kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, 4)
+    h = last_hidden(table, ids, w_in, w_rec, bias, 4)
     assert h.dtype == np.float32
     table, w_in, w_rec, bias = (a.astype(np.float64) for a in (table, w_in, w_rec, bias))
     expected = oracle_last_hidden(table, ids, w_in, w_rec, bias, 4)
@@ -101,7 +107,7 @@ def test_last_hidden_keeps_float32():
 def test_last_hidden_rejects_steps_outside_window(steps):
     table, ids, w_in, w_rec, bias = make_window_inputs(np.random.default_rng(8), t=7)
     with pytest.raises(ValueError):
-        kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, steps)
+        last_hidden(table, ids, w_in, w_rec, bias, steps)
 
 
 @pytest.fixture
@@ -123,9 +129,9 @@ def test_last_hidden_all_rows_identical(cell_rows):
     table, ids, w_in, w_rec, bias = make_window_inputs(rng, b=1, t=7)
     rows = np.repeat(ids, 6, axis=0)
     for steps in (1, 4, 7):
-        alone = kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, steps)
+        alone = last_hidden(table, ids, w_in, w_rec, bias, steps)
         cell_rows.clear()
-        got = kernels.lstm_last_hidden(table, rows, w_in, w_rec, bias, steps)
+        got = last_hidden(table, rows, w_in, w_rec, bias, steps)
         assert cell_rows == [1] * steps
         np.testing.assert_array_equal(got, np.repeat(alone, 6, axis=0))
         np.testing.assert_allclose(
@@ -146,7 +152,7 @@ def test_last_hidden_rows_sharing_only_prefixes(cell_rows):
     ])
     for steps in (3, 4, 5, 7):
         cell_rows.clear()
-        got = kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, steps)
+        got = last_hidden(table, ids, w_in, w_rec, bias, steps)
         assert cell_rows == [2] * min(steps, 4) + [6] * (steps - 4)
         np.testing.assert_allclose(
             got, oracle_last_hidden(table, ids, w_in, w_rec, bias, steps), rtol=0, atol=1e-12)
@@ -163,7 +169,7 @@ def test_last_hidden_rows_sharing_only_suffixes(cell_rows):
     for direction, seq in (("forward", ids), ("backward", ids[:, ::-1])):
         for steps in (3, 4, 5, 7):
             cell_rows.clear()
-            got = kernels.lstm_last_hidden(table, seq, w_in, w_rec, bias, steps)
+            got = last_hidden(table, seq, w_in, w_rec, bias, steps)
             shared = min(steps, shared_steps[direction])
             assert cell_rows == [1] * shared + [6] * (steps - shared)
             np.testing.assert_allclose(
@@ -175,7 +181,7 @@ def test_last_hidden_single_row():
     rng = np.random.default_rng(15)
     table, ids, w_in, w_rec, bias = make_window_inputs(rng, b=1, t=7)
     for steps in (1, 4, 7):
-        got = kernels.lstm_last_hidden(table, ids, w_in, w_rec, bias, steps)
+        got = last_hidden(table, ids, w_in, w_rec, bias, steps)
         assert got.shape == (1, 3)
         h_all = kernels.lstm_forward(table[ids], w_in, w_rec, bias)[0]
         np.testing.assert_array_equal(got, h_all[:, steps - 1, :])
@@ -185,7 +191,7 @@ def test_last_hidden_single_row():
 
 def test_last_hidden_empty_batch():
     table, ids, w_in, w_rec, bias = make_window_inputs(np.random.default_rng(18), t=7)
-    got = kernels.lstm_last_hidden(table, ids[:0], w_in, w_rec, bias, 7)
+    got = last_hidden(table, ids[:0], w_in, w_rec, bias, 7)
     assert got.shape == (0, 3)
 
 
@@ -196,8 +202,8 @@ def test_last_hidden_permuted_rows_give_permuted_output():
     perm = rng.permutation(len(ids))
     for seq in (ids, ids[:, ::-1]):
         for steps in (1, 4, 7):
-            got = kernels.lstm_last_hidden(table, seq, w_in, w_rec, bias, steps)
-            permuted = kernels.lstm_last_hidden(table, seq[perm], w_in, w_rec, bias, steps)
+            got = last_hidden(table, seq, w_in, w_rec, bias, steps)
+            permuted = last_hidden(table, seq[perm], w_in, w_rec, bias, steps)
             np.testing.assert_array_equal(permuted, got[perm])
 
 
@@ -210,7 +216,7 @@ def test_last_hidden_random_shapes_match_oracle():
         table, ids, w_in, w_rec, bias = make_window_inputs(rng, b=b, t=7, e=e, h=h, vocab=vocab)
         steps = int(rng.integers(1, 8))
         for seq in (ids, ids[:, ::-1]):
-            got = kernels.lstm_last_hidden(table, seq, w_in, w_rec, bias, steps)
+            got = last_hidden(table, seq, w_in, w_rec, bias, steps)
             assert got.shape == (b, h)
             np.testing.assert_allclose(
                 got, oracle_last_hidden(table, seq, w_in, w_rec, bias, steps),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from noisylab import kernels
+from noisylab.autodiff import no_grad
 from noisylab.config import ExperimentConfig
 from noisylab.data import prepare
 from noisylab.model import CleaningNetwork, NoiseMatrix
@@ -61,6 +62,12 @@ def tiny_data(corpora):
 
 def fresh_data(corpora, config):
     return prepare(config, *corpora)
+
+
+def fresh_data_copy(data):
+    """``data`` with copies of its splits, which keep no distinct rows or plans."""
+    return dataclasses.replace(data, **{name: dataclasses.replace(getattr(data, name))
+                                        for name in ("clean", "noisy", "dev", "test")})
 
 
 class TestSubsampleNoisy:
@@ -396,7 +403,7 @@ class TestEvaluateSplit:
         assert len(gold_of) < len(split), "fixture needs repeated windows"
 
         class Oracle:
-            def predict(self, ids):
+            def predict(self, ids, plans=None):
                 return np.array([gold_of[window.tobytes()] for window in ids])
 
         f1, report = evaluate_split(Oracle(), split, tiny_data.label_set, 64)
@@ -434,6 +441,64 @@ class TestPredictSplit:
         np.testing.assert_array_equal(
             _clean_noisy_labels(model, cleaner, tiny_data.noisy, indices, 5, 16)[1],
             relabelled)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pooling", ["final", "center"])
+    def test_kept_plans_predict_as_inline_plans(self, tiny_data, pooling, dtype):
+        from noisylab.model import WindowClassifier
+        model = WindowClassifier(tiny_data.embedding_table, k=5, hidden_size=10,
+                                 dense_size=8, seed=4, pooling=pooling, dtype=dtype)
+        split = dataclasses.replace(tiny_data.dev)  # a copy keeps no plans
+        rows, inverse = split.take_distinct()
+        inline = np.concatenate([model.predict(rows[s:s + 64])
+                                 for s in range(0, rows.shape[0], 64)])[inverse]
+        for _ in range(2):  # builds the plans, then reuses them
+            np.testing.assert_array_equal(predict_split(model, split, 64), inline)
+        with no_grad():
+            features = model.features(rows[:64])
+            kept = model.features(rows[:64], split.distinct_plans(0, 64))
+        assert features.values.dtype == dtype
+        np.testing.assert_array_equal(kept.values, features.values)
+
+    def test_plans_kept_per_step_count(self, tiny_data):
+        from noisylab.model import WindowClassifier
+        split = dataclasses.replace(tiny_data.dev)
+        models = [WindowClassifier(tiny_data.embedding_table, k=5, hidden_size=10, dense_size=8,
+                                   seed=5, pooling=pooling) for pooling in ("final", "center")]
+        inline = [np.array([m.predict(window)[0] for window in split.token_ids])
+                  for m in models]
+        for _ in range(2):  # one split scored by both poolings keeps plans for both
+            for model, expected in zip(models, inline):
+                np.testing.assert_array_equal(predict_split(model, split, 64), expected)
+        assert sorted(split.distinct_plans(0, 64)) == [4, 7]
+
+    def test_plans_built_once_per_chunk_and_direction(self, tiny_data, monkeypatch):
+        built = []
+        build = kernels.prefix_plan
+
+        def spy(ids, steps):
+            built.append((ids.shape[0], steps))
+            return build(ids, steps)
+
+        monkeypatch.setattr(kernels, "prefix_plan", spy)
+        data = fresh_data_copy(tiny_data)
+        config = dataclasses.replace(TINY, epochs=4, eval_batch_size=100)
+        train_variant("noise-model", data, config, trial_seed=1)
+        chunks = [-(-np.unique(split.token_ids, axis=0).shape[0] // 100)
+                  for split in (data.dev, data.test)]
+        assert len(built) == 2 * sum(chunks)
+        assert {steps for _, steps in built} == {7}
+        train_variant("noise-model", data, config, trial_seed=2)
+        assert len(built) == 2 * sum(chunks)  # a second trial reuses them
+
+    def test_empty_split(self, tiny_data, model):
+        split = dataclasses.replace(tiny_data.test, token_ids=tiny_data.test.token_ids[:0],
+                                    sentence_lengths=np.zeros(0, np.int64),
+                                    y=tiny_data.test.y[:0])
+        assert predict_split(model, split, 64).shape == (0,)
+        f1, report = evaluate_split(model, split, tiny_data.label_set, 64)
+        assert f1 == 0.0
+        assert report.overall.support == 0
 
     def test_one_evaluation_is_one_read(self, tiny_data, model):
         split = tiny_data.test
