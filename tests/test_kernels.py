@@ -223,6 +223,21 @@ def test_last_hidden_random_shapes_match_oracle():
                 rtol=0, atol=1e-12)
 
 
+def test_kept_plan_serves_every_weight_update():
+    # a split keeps its plans across epochs, so the scan must leave its plan
+    # as it found it: one plan scanned under new weights again and again
+    # gives what a plan built per call gives
+    rng = np.random.default_rng(19)
+    table, ids, _, _, _ = make_window_inputs(rng, b=60, t=7, vocab=9)
+    for steps in (1, 4, 7):
+        plan = kernels.prefix_plan(ids, steps)
+        for _ in range(3):
+            _, _, w_in, w_rec, bias = make_window_inputs(rng, b=1, t=7)
+            np.testing.assert_array_equal(
+                kernels.lstm_last_hidden(table, plan, w_in, w_rec, bias),
+                last_hidden(table, ids, w_in, w_rec, bias, steps))
+
+
 def oracle_backward(x, w_in, w_rec, h_all, c_all, tc_all, gates, dh_all):
     """Plain step-by-step backward over ``lstm_forward``'s caches: every
     gradient is accumulated one step at a time."""
