@@ -1,9 +1,9 @@
-"""Pair two checkouts' benchmark results into one BENCH_<pr>.json.
+"""Pair two checkouts' benchmark results into one BENCH_<number>.json.
 
 Usage:
 
     python3 benchmarks/pair_results.py --parent <checkout> --change <checkout> \
-        --pr <n> [--out BENCH_<n>.json]
+        --number <n> [--out BENCH_<n>.json]
 
 Each checkout's ``perfbench/run.py --trace 0`` runs leave
 ``.bench_work/result-<workload>-seed<s>-trace0.json``.  A pair is the
@@ -89,7 +89,7 @@ def environment(records):
     return out
 
 
-def pair(parent_dir, change_dir, pr, benchmark):
+def pair(parent_dir, change_dir, number, benchmark):
     parent, change = load_results(parent_dir), load_results(change_dir)
     metrics = benchmark["end_to_end"]
     workloads = {}
@@ -112,7 +112,7 @@ def pair(parent_dir, change_dir, pr, benchmark):
         workloads[workload] = entry
     every = list(parent.values()) + list(change.values())
     return {
-        "pr": pr,
+        "number": number,
         "git_commits": {side: sorted({r.get("environment", {}).get("git_commit") or "unknown"
                                       for r in records.values()})
                         for side, records in (("parent", parent), ("change", change))},
@@ -125,18 +125,19 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--out", help="output path (default BENCH_<pr>.json in this checkout)")
+    parser.add_argument("--number", type=int, required=True,
+                        help="number of the change, which names the output file")
+    parser.add_argument("--out", help="output path (default BENCH_<number>.json in this checkout)")
     parser.add_argument("--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"),
                         help="BENCHMARK.json declaring the end-to-end metrics")
     args = parser.parse_args(argv)
     with open(args.benchmark, encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    report = pair(args.parent, args.change, args.pr, benchmark)
+    report = pair(args.parent, args.change, args.number, benchmark)
     if not any(w["seeds"] for w in report["workloads"].values()):
         print("error: no workload has a seed with results on both sides", file=sys.stderr)
         return 1
-    out = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
+    out = args.out or os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -55,11 +55,11 @@ def checkouts(tmp_path):
 def test_pairs_by_workload_and_seed(pair_results, checkouts, tmp_path):
     parent, change, benchmark = checkouts
     out = tmp_path / "BENCH_7.json"
-    code = pair_results.main(["--parent", str(parent), "--change", str(change), "--pr", "7",
+    code = pair_results.main(["--parent", str(parent), "--change", str(change), "--number", "7",
                               "--out", str(out), "--benchmark", str(benchmark)])
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["pr"] == 7
+    assert report["number"] == 7
     assert report["git_commits"] == {"parent": ["aaa"], "change": ["bbb"]}
     assert report["environment"]["OPENBLAS_NUM_THREADS"] is None
     assert report["environment"]["dtype"] == "float64"
@@ -104,8 +104,8 @@ def test_differing_environments_are_listed(pair_results, checkouts):
 def test_no_pairs_is_an_error(pair_results, tmp_path):
     benchmark = tmp_path / "BENCHMARK.json"
     benchmark.write_text(json.dumps(BENCHMARK))
-    code = pair_results.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--pr", "1",
-                              "--out", str(tmp_path / "out.json"),
+    code = pair_results.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                              "--number", "1", "--out", str(tmp_path / "out.json"),
                               "--benchmark", str(benchmark)])
     assert code == 1
     assert not (tmp_path / "out.json").exists()
