@@ -52,7 +52,8 @@ def quartiles(values):
 
 
 def compare(metric, seeds, pairs):
-    """One metric's (parent, change) pairs, each side's quartiles, wins and gap."""
+    """One metric's (parent, change) pairs, each side's quartiles, wins and gap;
+    ``within_bound`` is None for a metric without a bound."""
     sign = 1.0 if metric["better"] == "lower" else -1.0
     parent = [p for p, _ in pairs]
     change = [c for _, c in pairs]
@@ -72,7 +73,8 @@ def compare(metric, seeds, pairs):
         "gain_exceeds_parent_iqr": gain > before["q3"] - before["q1"],
         "relative_change": (after["median"] - before["median"]) / before["median"]
         if before["median"] else None,
-        "within_bound": -gain <= metric["bound"] * abs(before["median"]),
+        "within_bound": None if metric["bound"] is None
+        else -gain <= metric["bound"] * abs(before["median"]),
     }
 
 

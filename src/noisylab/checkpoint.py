@@ -1,6 +1,8 @@
 """Model checkpoints: parameter arrays, vocabulary, labels, and the
 resolved configuration in one npz file."""
 
+import zipfile
+
 import numpy as np
 
 from .config import ExperimentConfig
@@ -27,22 +29,28 @@ def save_checkpoint(path, model_state, vocab, label_set, config, noise_b=None,
 
 
 def load_checkpoint(path):
-    """Returns (model, vocab, label_set, config, noise or None, extras)."""
-    with np.load(path, allow_pickle=False) as data:
-        config = ExperimentConfig.from_text(str(data["config_text"]))
-        vocab = Vocabulary([str(w) for w in data["vocab_words"]])
-        label_set = LabelSet([str(c) for c in data["classes"]])
-        state = {
-            key[len("model_"):]: data[key]
-            for key in data.files if key.startswith("model_")
-        }
-        noise = (NoiseMatrix(data["noise_b"], dtype=config.numpy_dtype)
-                 if "noise_b" in data.files else None)
-        extras = {}
-        if "selected_epoch" in data.files:
-            extras["selected_epoch"] = int(data["selected_epoch"])
-        if "dev_f1_history" in data.files:
-            extras["dev_f1_history"] = data["dev_f1_history"].tolist()
+    """Returns (model, vocab, label_set, config, noise or None, extras).
+
+    A damaged archive, or one that lacks an array the model needs, is a
+    ValueError naming the file (and the missing array).
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            config = ExperimentConfig.from_text(str(data["config_text"]))
+            vocab = Vocabulary([str(w) for w in data["vocab_words"]])
+            label_set = LabelSet([str(c) for c in data["classes"]])
+            state = {name: data[f"model_{name}"] for name in WindowClassifier.STATE}
+            noise = (NoiseMatrix(data["noise_b"], dtype=config.numpy_dtype)
+                     if "noise_b" in data.files else None)
+            extras = {}
+            if "selected_epoch" in data.files:
+                extras["selected_epoch"] = int(data["selected_epoch"])
+            if "dev_f1_history" in data.files:
+                extras["dev_f1_history"] = data["dev_f1_history"].tolist()
+    except KeyError as err:  # numpy's message names the missing array
+        raise ValueError(f"{path}: {err.args[0]}") from None
+    except (zipfile.BadZipFile, EOFError, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from None
     model = WindowClassifier(
         state["embedding"], k=label_set.k, hidden_size=config.hidden_size,
         dense_size=config.dense_size, seed=config.seed,

@@ -9,6 +9,7 @@ atomically so there is never partial silent output.
 import argparse
 import os
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from . import checkpoint as ckpt
 from . import evaluation, training
 from .autodiff import NonFiniteError
 from .config import ExperimentConfig
-from .conll import CorpusDocument, Sentence, parse_conll, write_conll
+from .conll import parse_conll, write_conll
 from .data import build_channel_spec, corpus_windows, prepare
 from .fileio import atomic_write_json, atomic_write_text, jsonl_line
 from .gazetteer import Gazetteer, annotate
@@ -61,16 +62,10 @@ def cmd_simulate_noise(args):
                               matrix_path=args.matrix)
     flat = label_set.encode(corpus.flat_labels())
     corrupted = apply_channel(flat, spec)
-    out = CorpusDocument(doc_starts=list(corpus.doc_starts))
-    pos = 0
+    names = map(label_set.name, corrupted)
     for sentence in corpus.sentences:
-        n = len(sentence)
-        out.sentences.append(Sentence(
-            tokens=list(sentence.tokens),
-            labels=[label_set.name(i) for i in corrupted[pos:pos + n]],
-        ))
-        pos += n
-    atomic_write_text(args.output, write_conll(out))
+        sentence.labels = list(islice(names, len(sentence)))
+    atomic_write_text(args.output, write_conll(corpus))
     changed = int((corrupted != np.asarray(flat)).sum())
     print(f"corrupted {changed}/{len(flat)} labels -> {args.output}")
     return 0

@@ -119,7 +119,7 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text):
         fields = {f.name: f for f in dataclasses.fields(cls)}
-        values = {}
+        values, set_on = {}, {}
         for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -131,6 +131,9 @@ class ExperimentConfig:
             value = value.strip()
             if key not in fields:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
+            if key in set_on:
+                raise ValueError(f"line {lineno}: key {key!r} already set on line {set_on[key]}")
+            set_on[key] = lineno
             ftype = fields[key].type
             if ftype in (bool, "bool"):
                 if value not in ("true", "false"):

@@ -97,21 +97,6 @@ class TrackedSplit:
         """
         return self._plans.setdefault((start, stop), {})
 
-    def sequences(self, which="y"):
-        """Per-sentence label arrays (for entity-level scoring)."""
-        flat = self.y if which == "y" else self.z
-        return split_by_lengths(flat, self.sentence_lengths)
-
-
-def split_by_lengths(flat, lengths):
-    flat = np.asarray(flat)
-    out = []
-    start = 0
-    for n in lengths:
-        out.append(flat[start:start + int(n)])
-        start += int(n)
-    return out
-
 
 @dataclass
 class SplitDataset:
@@ -216,7 +201,7 @@ def prepare(config, train_corpus, dev_corpus, test_corpus, gazetteer=None) -> Sp
 
     words = build_vocab_words(train_corpus.all_tokens())
     if config.embeddings_path:
-        table, vocab = load_embeddings(config.embeddings_path)
+        table, vocab = load_embeddings(config.embeddings_path, config.embedding_dim)
     else:
         table, vocab = random_embeddings(words, config.embedding_dim, seed=config.seed)
 

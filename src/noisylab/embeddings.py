@@ -34,7 +34,9 @@ def load_embeddings(path, expected_dim=None):
     """Read "word v1 v2 ... vD" lines into (table, vocabulary).
 
     The table has PAD and UNK zero rows appended; the dimension is
-    inferred from the first line unless ``expected_dim`` pins it.
+    inferred from the first line unless ``expected_dim`` pins it.  A short
+    or long vector, or a component that is not a finite number, is an error
+    naming the file and line.
     """
     words = []
     vectors = []
@@ -46,30 +48,25 @@ def load_embeddings(path, expected_dim=None):
                 continue
             parts = line.split()
             word, fields = parts[0], parts[1:]
+            where = f"{path}: line {lineno}"
             if dim is None:
                 dim = len(fields)
                 if dim == 0:
-                    raise ValueError(f"line {lineno}: no vector components")
+                    raise ValueError(f"{where}: no vector components")
             if len(fields) != dim:
-                raise ValueError(
-                    f"line {lineno}: expected {dim} components, got {len(fields)}"
-                )
+                raise ValueError(f"{where}: expected {dim} components, got {len(fields)}")
             try:
-                vectors.append([float(v) for v in fields])
+                vector = [float(v) for v in fields]
             except ValueError:
-                raise ValueError(f"line {lineno}: non-numeric field") from None
+                raise ValueError(f"{where}: non-numeric field") from None
+            if not np.isfinite(vector).all():
+                raise ValueError(f"{where}: non-finite component")
+            vectors.append(vector)
             words.append(word)
     table = np.zeros((len(words) + 2, dim or 0), dtype=np.float64)
     if vectors:
         table[:len(words)] = np.asarray(vectors, dtype=np.float64)
     return table, Vocabulary(words)
-
-
-def write_embeddings(path, words, table):
-    """Inverse of :func:`load_embeddings` (PAD/UNK rows are not written)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for word, row in zip(words, np.asarray(table)):
-            fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
 def build_vocab_words(token_iter):

@@ -1,4 +1,4 @@
-"""Entity-level precision/recall/F1, token confusion, and matrix reports.
+"""Entity-level precision/recall/F1 and matrix reports.
 
 Labels carry no B-/I- prefixes here: an entity span is a maximal run of
 one non-O class, and a predicted span counts only when start, end, and
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LabelSet
-from .noise import estimate_confusion
 
 
 @dataclass
@@ -95,34 +94,39 @@ def entity_spans(labels, lengths, o_index=0):
     return starts, ends, labels[starts]
 
 
-def entity_prf(gold_sequences, predicted_sequences, label_set: LabelSet) -> PRFReport:
+def entity_prf(gold, predicted, label_set: LabelSet, lengths=None) -> PRFReport:
     """Span-exact scoring; micro-averaged overall counts sum the per-class ones.
 
-    The spans of all sentences are found in one pass over their labels
-    laid end to end.  Each span is keyed as one int (start, end, class), a
-    true positive is a key found on both sides, and the counts per class
+    With ``lengths``, ``gold`` and ``predicted`` are label arrays that hold
+    the sentences of ``lengths`` end to end.  Without it they are
+    per-sentence sequences, which must match sentence for sentence and are
+    then laid end to end.  The spans of all sentences are found in one pass
+    over those labels.  Each span is keyed as one int (start, end, class),
+    a true positive is a key found on both sides, and the counts per class
     are ``bincount``s of the keys' classes.
     """
-    if len(gold_sequences) != len(predicted_sequences):
-        raise ValueError(
-            f"{len(gold_sequences)} gold vs {len(predicted_sequences)} predicted sequences"
-        )
-    lengths = np.array([len(g) for g in gold_sequences], dtype=np.int64)
-    predicted_lengths = np.array([len(p) for p in predicted_sequences], dtype=np.int64)
-    differ = np.flatnonzero(lengths != predicted_lengths)
-    if differ.size:
-        i = differ[0]
-        raise ValueError(f"sequence {i}: length {lengths[i]} vs {predicted_lengths[i]}")
+    if lengths is None:
+        if len(gold) != len(predicted):
+            raise ValueError(f"{len(gold)} gold vs {len(predicted)} predicted sequences")
+        lengths = np.array([len(g) for g in gold], dtype=np.int64)
+        predicted_lengths = np.array([len(p) for p in predicted], dtype=np.int64)
+        differ = np.flatnonzero(lengths != predicted_lengths)
+        if differ.size:
+            i = differ[0]
+            raise ValueError(f"sequence {i}: length {lengths[i]} vs {predicted_lengths[i]}")
+        gold, predicted = (np.concatenate(s) if len(s) else () for s in (gold, predicted))
+    n = int(np.sum(lengths))
+    if not len(gold) == len(predicted) == n:
+        raise ValueError(f"{len(gold)} gold and {len(predicted)} predicted labels "
+                         f"for {n} tokens")
     o, k = label_set.o_index, label_set.k
-    n = int(lengths.sum())
 
-    def keys_and_counts(sequences):
-        labels = np.concatenate(sequences) if len(sequences) else ()
+    def keys_and_counts(labels):
         starts, ends, classes = entity_spans(labels, lengths, o)
         return (starts * n + ends) * k + classes, np.bincount(classes, minlength=k)
 
-    gold_keys, gold_counts = keys_and_counts(gold_sequences)
-    predicted_keys, predicted_counts = keys_and_counts(predicted_sequences)
+    gold_keys, gold_counts = keys_and_counts(gold)
+    predicted_keys, predicted_counts = keys_and_counts(predicted)
     matched = np.intersect1d(gold_keys, predicted_keys, assume_unique=True)
     tp = np.bincount(matched % k, minlength=k)
     per_class = {
@@ -136,11 +140,6 @@ def entity_prf(gold_sequences, predicted_sequences, label_set: LabelSet) -> PRFR
         fn=sum(s.fn for s in per_class.values()),
     )
     return PRFReport(per_class=per_class, overall=overall)
-
-
-def token_confusion(gold_labels, predicted_labels, k):
-    """Token-level confusion counts with gold classes as rows."""
-    return estimate_confusion(gold_labels, predicted_labels, k).counts
 
 
 def matrix_csv(matrix, label_set: LabelSet, corner="clean\\noisy") -> str:
@@ -187,10 +186,9 @@ def annotation_quality(gold_corpus, auto_corpus, label_set=None) -> PRFReport:
     label_set = label_set or LabelSet()
     if len(gold_corpus.sentences) != len(auto_corpus.sentences):
         raise ValueError("corpora differ in sentence count")
-    gold_seqs, auto_seqs = [], []
     for idx, (g, a) in enumerate(zip(gold_corpus.sentences, auto_corpus.sentences)):
         if g.tokens != a.tokens:
             raise ValueError(f"sentence {idx}: token mismatch")
-        gold_seqs.append(label_set.encode(g.labels))
-        auto_seqs.append(label_set.encode(a.labels))
-    return entity_prf(gold_seqs, auto_seqs, label_set)
+    return entity_prf(label_set.encode(gold_corpus.flat_labels()),
+                      label_set.encode(auto_corpus.flat_labels()), label_set,
+                      [len(s) for s in gold_corpus.sentences])

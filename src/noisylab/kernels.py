@@ -89,7 +89,7 @@ class PrefixPlan(NamedTuple):
     length t + 1: the index into ``tokens`` of each prefix's last token,
     and the index of the prefix it extends in level t - 1 (None at level
     0).  ``out`` is, for every row of the ids, its prefix's index in the
-    last level.
+    last level.  The indices are int32, which halves a kept plan.
     """
 
     tokens: np.ndarray
@@ -112,20 +112,20 @@ def prefix_plan(ids, steps):
     ids = ids[:, :steps]
     tokens, tok = np.unique(ids, return_inverse=True)
     order = np.lexsort(ids.T[::-1])
-    tok = tok.reshape(B, steps)[order]
+    tok = tok.reshape(B, steps)[order].astype(np.int32)
     # new[r, t]: sorted row r starts a prefix of length t + 1 that the row
     # before it does not share; prefix[r, t] is that prefix's index in level t
     new = np.empty((B, steps), bool)
     new[:1] = True
     np.not_equal(tok[1:], tok[:-1], out=new[1:])
     np.logical_or.accumulate(new, axis=1, out=new)
-    prefix = np.cumsum(new, axis=0)
+    prefix = np.cumsum(new, axis=0, dtype=np.int32)
     prefix -= 1
     levels = []
     for t in range(steps):
         first = np.flatnonzero(new[:, t])
         levels.append((tok[first, t], None if t == 0 else prefix[first, t - 1]))
-    out = np.empty(B, np.intp)
+    out = np.empty(B, np.int32)
     out[order] = prefix[:, -1]
     return PrefixPlan(tokens, tuple(levels), out)
 

@@ -123,10 +123,6 @@ class ConfusionCounts:
     def k(self):
         return self.counts.shape[0]
 
-    @property
-    def row_totals(self):
-        return self.counts.sum(axis=1)
-
 
 def estimate_confusion(clean_labels, noisy_labels, k) -> ConfusionCounts:
     """Count clean/noisy label co-occurrences over aligned sequences."""

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import NonFiniteError, Tensor, absolute_error, cross_entropy, no_grad
-from .data import SplitDataset, prepare, split_by_lengths
+from .data import SplitDataset, prepare
 from .evaluation import PRFReport, entity_prf
 from .model import (
     CleaningNetwork,
@@ -209,9 +209,7 @@ def predict_split(model, split, eval_batch):
 def evaluate_split(model, split, label_set, eval_batch):
     """Entity-level report of the model's predictions on one split."""
     preds = predict_split(model, split, eval_batch)
-    gold = split.sequences("y")
-    predicted = split_by_lengths(preds, split.sentence_lengths)
-    report = entity_prf(gold, predicted, label_set)
+    report = entity_prf(split.y, preds, label_set, split.sentence_lengths)
     return report.overall.f1, report
 
 

@@ -292,6 +292,36 @@ class TestConfigRejected:
         assert not (tmp_path / "run").exists()
 
 
+class TestBadInputFilesExit2:
+    def test_truncated_checkpoint(self, run_dir, toy_dir, tmp_path, capsys):
+        damaged = tmp_path / "checkpoint.npz"
+        damaged.write_bytes((run_dir / "checkpoint.npz").read_bytes()[:2000])
+        code = main(["evaluate", "--checkpoint", str(damaged),
+                     "--test", str(toy_dir / "test.conll"), "--out", str(tmp_path / "eval")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {damaged}: File is not a zip file" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        # the config's embedding_dim is 12
+        ("the" + " 0.1" * 12 + "\nof" + " 0.5" * 11 + " nan\n",
+         "line 2: non-finite component"),
+        ("the 0.1 0.2 0.3\nof 0.5 0.5 0.5\n", "line 1: expected 12 components, got 3"),
+    ], ids=["non-finite", "width"])
+    def test_bad_embedding_file(self, tiny_config_text, tmp_path, capsys, text, message):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(text, encoding="utf-8")
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(tiny_config_text.replace("embeddings_path = \n",
+                                                f"embeddings_path = {vectors}\n"),
+                       encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert f"error: {vectors}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
+
 class TestSweepCommand:
     def test_sweep_emits_table(self, toy_dir, tiny_config_text, tmp_path):
         cfg_text = tiny_config_text.replace(f"epochs = {TINY_EPOCHS}", "epochs = 2")

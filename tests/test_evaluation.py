@@ -16,10 +16,9 @@ from noisylab.evaluation import (
     matrix_csv,
     parse_matrix_csv,
     theta_report,
-    token_confusion,
 )
 from noisylab.model import LabelSet, NoiseMatrix, theta_from_b
-from noisylab.noise import identity_init
+from noisylab.noise import estimate_confusion, identity_init
 
 
 def brute_force_spans(labels, o_index=0):
@@ -193,6 +192,28 @@ class TestEntityPRF:
         report = entity_prf([[], [2], []], [[], [2], []], self.ls)
         assert report.per_class["ORG"].tp == 1
 
+    @given(st.lists(st.tuples(st.lists(st.integers(0, 4), max_size=6),
+                              st.lists(st.integers(0, 4), max_size=6)), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_flat_form_matches_per_sentence_form(self, pairs):
+        # each sentence's gold and predicted labels, cut to a common length;
+        # empty sentences and runs across sentence boundaries both occur
+        gold = [g[:len(p)] for g, p in pairs]
+        pred = [p[:len(g)] for g, p in pairs]
+        gold += [[], [2, 2], [2, 0]]
+        pred += [[], [2, 2], [2, 0]]
+        flat = entity_prf(sum(gold, []), sum(pred, []), self.ls, [len(g) for g in gold])
+        per_sentence = entity_prf(gold, pred, self.ls)
+        assert flat.as_dict() == per_sentence.as_dict()
+        brute = brute_force_prf(gold, pred, self.ls)
+        assert {n: [s.tp, s.fp, s.fn] for n, s in flat.per_class.items()} == brute
+
+    def test_flat_form_rejects_labels_that_lengths_do_not_cover(self):
+        with pytest.raises(ValueError, match="2 gold and 3 predicted labels for 2 tokens"):
+            entity_prf([0, 1], [0, 1, 1], self.ls, [2])
+        with pytest.raises(ValueError, match="for 3 tokens"):
+            entity_prf([0, 1], [0, 1], self.ls, [1, 2])
+
     def test_counts_are_python_ints(self):
         report = entity_prf([np.array([1, 0, 2])], [np.array([1, 0, 0])], self.ls)
         counts = [getattr(s, f) for s in report.per_class.values() for f in ("tp", "fp", "fn")]
@@ -201,19 +222,21 @@ class TestEntityPRF:
 
 
 class TestTokenConfusion:
+    """Token-level confusion of predictions, gold classes as rows."""
+
     def test_perfect_prediction_is_diagonal(self):
         gold = np.array([0, 1, 2, 1])
-        counts = token_confusion(gold, gold, k=3)
+        counts = estimate_confusion(gold, gold, k=3).counts
         np.testing.assert_array_equal(counts, np.diag([1, 2, 1]))
 
     def test_constant_null_prediction(self):
         gold = np.array([0, 1, 2])
-        counts = token_confusion(gold, np.zeros(3, dtype=int), k=3)
+        counts = estimate_confusion(gold, np.zeros(3, dtype=int), k=3).counts
         np.testing.assert_array_equal(counts[:, 0], np.ones(3, dtype=int))
         assert counts[:, 1:].sum() == 0
 
     def test_hand_counted(self):
-        counts = token_confusion([0, 1, 1], [1, 1, 0], k=2)
+        counts = estimate_confusion([0, 1, 1], [1, 1, 0], k=2).counts
         np.testing.assert_array_equal(counts, np.array([[0, 1], [1, 1]]))
 
 

@@ -16,7 +16,6 @@ from noisylab.embeddings import (
     build_vocab_words,
     load_embeddings,
     random_embeddings,
-    write_embeddings,
 )
 from noisylab.model import LabelSet
 
@@ -114,12 +113,21 @@ class TestEmbeddings:
             load_embeddings(path)
         assert "line 1" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_component_names_file_and_line(self, tmp_path, value):
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"alpha 0.1 0.2\nbeta 1 {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2: non-finite component") as err:
+            load_embeddings(path)
+        assert str(path) in str(err.value)
+
     def test_write_then_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         words = ["one", "two", "three"]
         table = rng.standard_normal((3, 5))
         path = tmp_path / "vectors.txt"
-        write_embeddings(path, words, table)
+        path.write_text("".join(word + " " + " ".join(repr(float(v)) for v in row) + "\n"
+                                for word, row in zip(words, table)), encoding="utf-8")
         loaded, vocab = load_embeddings(path)
         np.testing.assert_array_equal(loaded[:3], table)
         assert vocab.words == words
@@ -238,6 +246,10 @@ class TestExperimentConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_text("not_a_key = 1\n")
+
+    def test_key_given_twice_rejected_naming_both_lines(self):
+        with pytest.raises(ValueError, match="line 3: key 'epochs' already set on line 1"):
+            ExperimentConfig.from_text("epochs = 2\nseed = 1\nepochs = 1\n")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
@@ -381,3 +393,26 @@ class TestCheckpointSave:
             monkeypatch.setattr(np, "savez", fail_midway)
             self._save(tmp_path / "fresh.npz")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
+
+    def test_truncated_checkpoint_is_a_value_error_naming_the_file(self, tmp_path):
+        from noisylab.checkpoint import load_checkpoint
+
+        path = tmp_path / "checkpoint.npz"
+        self._save(path)
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        with pytest.raises(ValueError, match="File is not a zip file") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("dropped", ["config_text", "model_fw_rec"])
+    def test_missing_array_is_a_value_error_naming_it(self, tmp_path, dropped):
+        from noisylab.checkpoint import load_checkpoint
+
+        path = tmp_path / "checkpoint.npz"
+        self._save(path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files if key != dropped}
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"{dropped} is not a file in the archive") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
