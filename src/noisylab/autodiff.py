@@ -126,25 +126,6 @@ class Tensor:
                 grad = node.grad
                 np.add(grad, np.reshape(g, grad.shape), out=grad)
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 

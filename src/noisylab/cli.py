@@ -26,9 +26,16 @@ from .noise import CHANNEL_KINDS, apply_channel, estimate_confusion, init_noise_
 from .toydata import gazetteer_file_text, generate_splits, toy_gazetteer_pairs
 
 
-def _read(path):
+def _parse(path, label_set=None):
+    """The CoNLL corpus in the file at ``path``; an error names the file."""
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            corpus = parse_conll(fh.read(), label_set)
+            if not corpus.sentences:
+                raise ValueError("no sentences")
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+    return corpus
 
 
 def _label_set(arg):
@@ -41,7 +48,7 @@ def _load_gazetteer(args):
 
 def cmd_annotate(args):
     label_set = _label_set(args.labels)
-    corpus = parse_conll(_read(args.input))
+    corpus = _parse(args.input)
     gaz = _load_gazetteer(args)
     labeled = annotate((s.tokens for s in corpus.sentences), gaz)
     for sentence, labels in zip(corpus.sentences, labeled):
@@ -54,7 +61,7 @@ def cmd_annotate(args):
 
 def cmd_simulate_noise(args):
     label_set = _label_set(args.labels)
-    corpus = parse_conll(_read(args.input), label_set)
+    corpus = _parse(args.input, label_set)
     if not corpus.labeled:
         raise ValueError("input corpus must be labeled")
     spec = build_channel_spec(args.kind, label_set, args.seed, rho=args.rho,
@@ -73,8 +80,8 @@ def cmd_simulate_noise(args):
 
 def cmd_init_theta(args):
     label_set = _label_set(args.labels)
-    clean = parse_conll(_read(args.clean), label_set)
-    noisy = parse_conll(_read(args.noisy), label_set)
+    clean = _parse(args.clean, label_set)
+    noisy = _parse(args.noisy, label_set)
     y = label_set.encode(clean.flat_labels())
     z = label_set.encode(noisy.flat_labels())
     counts = estimate_confusion(y, z, label_set.k)
@@ -86,9 +93,9 @@ def cmd_init_theta(args):
 
 def _load_corpora(config):
     label_set = config.label_set()
-    train = parse_conll(_read(config.train_path), label_set)
-    dev = parse_conll(_read(config.dev_path), label_set)
-    test = parse_conll(_read(config.test_path), label_set)
+    train = _parse(config.train_path, label_set)
+    dev = _parse(config.dev_path, label_set)
+    test = _parse(config.test_path, label_set)
     return train, dev, test
 
 
@@ -103,7 +110,6 @@ def _maybe_gazetteer(config):
 
 def cmd_train(args):
     config = ExperimentConfig.load(args.config)
-    os.makedirs(args.out, exist_ok=True)
     train_corpus, dev_corpus, test_corpus = _load_corpora(config)
     data = prepare(config, train_corpus, dev_corpus, test_corpus,
                    gazetteer=_maybe_gazetteer(config))
@@ -112,6 +118,7 @@ def cmd_train(args):
         config.variant, data, config, trial_seed=config.seed,
         metrics_sink=records.append,
     )
+    os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "resolved_config.txt"), config.to_text())
     atomic_write_text(
         os.path.join(args.out, "metrics.jsonl"),
@@ -138,7 +145,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     model, vocab, label_set, config, _, _ = ckpt.load_checkpoint(args.checkpoint)
-    corpus = parse_conll(_read(args.test), label_set)
+    corpus = _parse(args.test, label_set)
     if not corpus.labeled:
         raise ValueError("evaluation corpus must be labeled")
     split = corpus_windows(corpus, vocab, "eval", label_set,

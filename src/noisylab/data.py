@@ -5,7 +5,7 @@ Splits count batch accesses so tests can assert which data each training
 variant is allowed to read.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
@@ -60,8 +60,6 @@ class TrackedSplit:
     z: Optional[np.ndarray] = None
     eval_only_y: Optional[np.ndarray] = None  # diagnostics, never for training
     reads: int = 0
-    _distinct: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return self.token_ids.shape[0]
@@ -76,26 +74,6 @@ class TrackedSplit:
         if source is None:
             raise ValueError(f"split {self.name!r} has no {labels} labels")
         return ids, source[indices]
-
-    def take_distinct(self):
-        """(distinct window rows, row index of every window); one read.
-
-        Worked out on the first call and kept, so repeated windows are
-        predicted once per evaluation.
-        """
-        self.reads += 1
-        if self._distinct is None:
-            rows, inverse = np.unique(self.token_ids, axis=0, return_inverse=True)
-            self._distinct = (rows, inverse.reshape(-1))
-        return self._distinct
-
-    def distinct_plans(self, start, stop):
-        """Prefix-plan dict of distinct rows ``start:stop``, for
-        ``WindowClassifier.predict``; kept with the distinct rows, so the
-        plans of a chunk are built on the split's first prediction of it.
-        Not a read: it belongs to rows that ``take_distinct`` handed out.
-        """
-        return self._plans.setdefault((start, stop), {})
 
 
 @dataclass

@@ -88,7 +88,6 @@ class TrialResult:
     theta: Optional[np.ndarray]
     noise_b: Optional[np.ndarray]
     model_state: dict
-    cleaner_state: Optional[dict] = None
 
 
 @dataclass
@@ -101,19 +100,21 @@ class TrialsSummary:
     trials: list
 
 
-def _batches(order, batch_size):
-    for start in range(0, len(order), batch_size):
-        yield order[start:start + batch_size]
-
-
-def _supervised_pass(model, ids, labels, optimizer, rng, batch_size):
-    """One shuffled pass of plain cross-entropy training; returns mean loss."""
+def _supervised_pass(model, ids, labels, optimizers, rng, batch_size, noise=None):
+    """One shuffled pass of cross-entropy training, through the noise layer
+    ``noise`` when one is given; after each batch the ``optimizers`` step
+    in order.  Returns the mean loss."""
     order = rng.permutation(ids.shape[0])
     total = 0.0
-    for batch in _batches(order, batch_size):
-        loss = cross_entropy(model.probs(ids[batch]), labels[batch])
+    for start in range(0, len(order), batch_size):
+        batch = order[start:start + batch_size]
+        predicted = model.probs(ids[batch])
+        if noise is not None:
+            predicted = noisy_forward(predicted, noise)
+        loss = cross_entropy(predicted, labels[batch])
         loss.backward()
-        optimizer.step()
+        for optimizer in optimizers:
+            optimizer.step()
         total += loss.item() * len(batch)
     return total / max(ids.shape[0], 1)
 
@@ -122,7 +123,7 @@ def train_clean_epoch(model, clean_split, optimizer, rng, batch_size):
     """One pass over shuffled C with cross-entropy against the trusted
     labels; the noise layer is not part of this graph."""
     ids, y = clean_split.take(slice(None), "y")
-    return _supervised_pass(model, ids, y, optimizer, rng, batch_size)
+    return _supervised_pass(model, ids, y, (optimizer,), rng, batch_size)
 
 
 def train_noisy_epoch(model, noise, noisy_split, indices, opt_base, opt_noise,
@@ -130,17 +131,8 @@ def train_noisy_epoch(model, noise, noisy_split, indices, opt_base, opt_noise,
     """One pass over a noisy subsample through the noise layer; both the
     shared base weights and the noise weights are updated."""
     ids, z = noisy_split.take(indices, "z")
-    order = rng.permutation(ids.shape[0])
-    total = 0.0
-    for batch in _batches(order, batch_size):
-        predicted = noisy_forward(model.probs(ids[batch]), noise)
-        loss = cross_entropy(predicted, z[batch])
-        loss.backward()
-        opt_base.step()
-        if opt_noise is not None:
-            opt_noise.step()
-        total += loss.item() * len(batch)
-    return total / max(ids.shape[0], 1)
+    optimizers = (opt_base,) if opt_noise is None else (opt_base, opt_noise)
+    return _supervised_pass(model, ids, z, optimizers, rng, batch_size, noise)
 
 
 def train_pooled_epoch(model, clean_split, noisy_split, indices, optimizer,
@@ -150,7 +142,7 @@ def train_pooled_epoch(model, clean_split, noisy_split, indices, optimizer,
     noisy_ids, z = noisy_split.take(indices, "z")
     ids = np.concatenate([clean_ids, noisy_ids])
     labels = np.concatenate([y, z])
-    return _supervised_pass(model, ids, labels, optimizer, rng, batch_size)
+    return _supervised_pass(model, ids, labels, (optimizer,), rng, batch_size)
 
 
 def _train_cleaner_pass(model, cleaner, clean_split, optimizer, rng, batch_size, k):
@@ -161,7 +153,8 @@ def _train_cleaner_pass(model, cleaner, clean_split, optimizer, rng, batch_size,
     dtype = cleaner.proj_w.values.dtype
     order = rng.permutation(ids.shape[0])
     total = 0.0
-    for batch in _batches(order, batch_size):
+    for start in range(0, len(order), batch_size):
+        batch = order[start:start + batch_size]
         feats = Tensor(model.infer_features(ids[batch]))
         out = cleaner.forward(feats, one_hot(z[batch], k, dtype=dtype))
         loss = absolute_error(out, Tensor(one_hot(y[batch], k, dtype=dtype)))
@@ -191,24 +184,32 @@ def _clean_noisy_labels(model, cleaner, noisy_split, indices, k, eval_batch):
     return ids, cleaned
 
 
-def predict_split(model, split, eval_batch):
+def predict_split(model, split, eval_batch, kept=None):
     """Predicted class of every window of ``split``; counts as one read.
 
     Each distinct window is predicted once, in chunks of ``eval_batch``
     rows, and its prediction is scattered back to every place it occurs.
-    Each chunk's prefix plans are kept with the split's distinct rows.
+    ``kept``, a dict that a caller predicting the split again passes each
+    time, holds the distinct rows and each chunk's prefix plans after the
+    first call; without one they are worked out for this call.
     """
-    rows, inverse = split.take_distinct()
+    kept = {} if kept is None else kept
+    ids, _ = split.take(slice(None))
+    if "distinct" not in kept:
+        rows, inverse = np.unique(ids, axis=0, return_inverse=True)
+        kept["distinct"] = rows, inverse.reshape(-1)
+    rows, inverse = kept["distinct"]
     preds = np.empty(rows.shape[0], dtype=np.int64)
     for start in range(0, rows.shape[0], eval_batch):
         stop = start + eval_batch
-        preds[start:stop] = model.predict(rows[start:stop], split.distinct_plans(start, stop))
+        preds[start:stop] = model.predict(rows[start:stop], kept.setdefault((start, stop), {}))
     return preds[inverse]
 
 
-def evaluate_split(model, split, label_set, eval_batch):
-    """Entity-level report of the model's predictions on one split."""
-    preds = predict_split(model, split, eval_batch)
+def evaluate_split(model, split, label_set, eval_batch, kept=None):
+    """Entity-level report of the model's predictions on one split;
+    ``kept`` as in :func:`predict_split`."""
+    preds = predict_split(model, split, eval_batch, kept)
     report = entity_prf(split.y, preds, label_set, split.sentence_lengths)
     return report.overall.f1, report
 
@@ -246,7 +247,7 @@ def _init_noise_matrix(init, model, data, config, trial_seed):
         for epoch in range(config.pretrain_epochs):
             rng = substream(trial_seed, "shuffle", "pretrain", epoch)
             with _naming_epoch(epoch, "pretrain"):
-                _supervised_pass(model, ids, z, opt, rng, config.batch_size)
+                _supervised_pass(model, ids, z, (opt,), rng, config.batch_size)
         preds = predict_split(model, data.noisy, config.eval_batch_size)
         b = prediction_confusion_init(preds, z, k, config.alpha)
     return NoiseMatrix(b, dtype=config.numpy_dtype)
@@ -257,6 +258,10 @@ def train_variant(variant, data: SplitDataset, config, trial_seed,
     """Run one seeded trial of a variant; selects the best epoch by dev F1
     (earliest epoch wins ties) and reports test scores from that epoch."""
     phases, init = _variant(variant)
+    subsample_size = int(round(config.noisy_factor * len(data.clean)))
+    if {"noisy", "pooled", "cleaning"} & set(phases) and subsample_size > len(data.noisy):
+        raise ValueError(f"noisy_factor {config.noisy_factor} x |C| {len(data.clean)} = "
+                         f"{subsample_size} exceeds the noisy pool of {len(data.noisy)}")
     k = data.k
     model = WindowClassifier(
         data.embedding_table, k=k, hidden_size=config.hidden_size,
@@ -274,7 +279,7 @@ def train_variant(variant, data: SplitDataset, config, trial_seed,
                                   seed=trial_seed, dtype=config.numpy_dtype)
         opt_cleaner = _adam(cleaner.parameters(), config)
 
-    subsample_size = int(round(config.noisy_factor * len(data.clean)))
+    dev_kept = {}  # dev's distinct rows and plans, reused by every epoch
     dev_history = []
     best_f1 = -1.0
 
@@ -303,11 +308,11 @@ def train_variant(variant, data: SplitDataset, config, trial_seed,
                     clean_ids, y = data.clean.take(slice(None), "y")
                     ids = np.concatenate([noisy_ids, clean_ids])
                     labels = np.concatenate([cleaned, y])
-                    loss = _supervised_pass(model, ids, labels, opt_base, rng,
+                    loss = _supervised_pass(model, ids, labels, (opt_base,), rng,
                                             config.batch_size)
 
         dev_f1, dev_report = evaluate_split(model, data.dev, data.label_set,
-                                            config.eval_batch_size)
+                                            config.eval_batch_size, dev_kept)
         dev_history.append(dev_f1)
         # dev F1 >= 0, so epoch 0 always sets the best state
         if dev_f1 > best_f1:
@@ -342,7 +347,6 @@ def train_variant(variant, data: SplitDataset, config, trial_seed,
         theta=None if noise is None else theta_from_b(best_noise_b),
         noise_b=best_noise_b,
         model_state=model.state_dict(),
-        cleaner_state=None if cleaner is None else cleaner.state_dict(),
     )
 
 
@@ -409,11 +413,6 @@ def sweep(axis, values, variant, train_corpus, dev_corpus, test_corpus, config,
         else:
             cfg = dataclasses.replace(config, noisy_factor=float(value))
         data = prepare(cfg, train_corpus, dev_corpus, test_corpus, gazetteer=gazetteer)
-        size = int(round(cfg.noisy_factor * len(data.clean)))
-        if size > len(data.noisy):
-            raise ValueError(
-                f"noisy subsample of {size} exceeds pool of {len(data.noisy)}"
-            )
         summary = run_trials(variant, data, cfg, metrics_sink=metrics_sink)
         rows.append(SweepRow(
             axis_value=float(value),

@@ -322,6 +322,57 @@ class TestBadInputFilesExit2:
         assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
+    def test_tag_outside_the_label_set_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.conll"
+        bad.write_text("a O\nb FOO\n", encoding="utf-8")
+        code = main(["simulate-noise", "--input", str(bad), "--output",
+                     str(tmp_path / "out.conll"), "--kind", "uniform"])
+        assert code == 2
+        assert f"error: {bad}: line 2: tag 'FOO' not in label set" in capsys.readouterr().err
+        assert not (tmp_path / "out.conll").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_empty_corpus_file_names_the_file(self, command, run_dir, tiny_config_text,
+                                              tmp_path, capsys):
+        empty = tmp_path / "empty.conll"
+        empty.write_text("\n", encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "train":
+            cfg = tmp_path / "config.txt"
+            test_path = [line for line in tiny_config_text.splitlines()
+                         if line.startswith("test_path")][0]
+            cfg.write_text(tiny_config_text.replace(test_path, f"test_path = {empty}"),
+                           encoding="utf-8")
+            argv = ["train", "--config", str(cfg), "--out", str(out)]
+        else:
+            argv = ["evaluate", "--checkpoint", str(run_dir / "checkpoint.npz"),
+                    "--test", str(empty), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"error: {empty}: no sentences" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_noisy_factor_beyond_the_pool_stops_before_training(
+            self, tiny_config_text, tmp_path, capsys, monkeypatch):
+        from noisylab import training
+        records = []
+        train_variant = training.train_variant
+
+        def recording(*args, **kwargs):
+            return train_variant(*args, **{**kwargs, "metrics_sink": records.append})
+
+        monkeypatch.setattr(training, "train_variant", recording)
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(tiny_config_text.replace("noisy_factor = 1.0", "noisy_factor = 50"),
+                       encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: noisy_factor 50.0 x |C| " in err
+        assert "exceeds the noisy pool of " in err
+        assert records == []
+        assert not (tmp_path / "run").exists()
+
+
 class TestSweepCommand:
     def test_sweep_emits_table(self, toy_dir, tiny_config_text, tmp_path):
         cfg_text = tiny_config_text.replace(f"epochs = {TINY_EPOCHS}", "epochs = 2")

@@ -64,12 +64,6 @@ def fresh_data(corpora, config):
     return prepare(config, *corpora)
 
 
-def fresh_data_copy(data):
-    """``data`` with copies of its splits, which keep no distinct rows or plans."""
-    return dataclasses.replace(data, **{name: dataclasses.replace(getattr(data, name))
-                                        for name in ("clean", "noisy", "dev", "test")})
-
-
 class TestSubsampleNoisy:
     def test_full_size_is_permutation(self):
         sample = subsample_noisy(50, 50, seed=0)
@@ -384,6 +378,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep("noisy-factor", [1000.0], "noise-model", *corpora, config)
 
+    @pytest.mark.parametrize("variant", ["noise-model", "base-model-with-noise",
+                                         "noise-cleaning-model"])
+    def test_excessive_factor_rejected_before_training(self, tiny_data, variant):
+        records = []
+        config = dataclasses.replace(TINY, noisy_factor=50.0)
+        with pytest.raises(ValueError, match=r"noisy_factor 50\.0 x \|C\| \d+ = \d+ "
+                                             r"exceeds the noisy pool of \d+"):
+            train_variant(variant, tiny_data, config, trial_seed=1,
+                          metrics_sink=records.append)
+        assert records == []
+
     def test_unknown_axis_rejected(self, corpora):
         with pytest.raises(ValueError):
             sweep("depth", [1], "base-model", *corpora, TINY)
@@ -448,29 +453,32 @@ class TestPredictSplit:
         from noisylab.model import WindowClassifier
         model = WindowClassifier(tiny_data.embedding_table, k=5, hidden_size=10,
                                  dense_size=8, seed=4, pooling=pooling, dtype=dtype)
-        split = dataclasses.replace(tiny_data.dev)  # a copy keeps no plans
-        rows, inverse = split.take_distinct()
+        split = tiny_data.dev
+        rows, inverse = np.unique(split.token_ids, axis=0, return_inverse=True)
         inline = np.concatenate([model.predict(rows[s:s + 64])
-                                 for s in range(0, rows.shape[0], 64)])[inverse]
+                                 for s in range(0, rows.shape[0], 64)])[inverse.reshape(-1)]
+        kept = {}
         for _ in range(2):  # builds the plans, then reuses them
-            np.testing.assert_array_equal(predict_split(model, split, 64), inline)
+            np.testing.assert_array_equal(predict_split(model, split, 64, kept), inline)
+        np.testing.assert_array_equal(kept["distinct"][0], rows)
         with no_grad():
             features = model.features(rows[:64])
-            kept = model.features(rows[:64], split.distinct_plans(0, 64))
+            from_kept = model.features(rows[:64], kept[(0, 64)])
         assert features.values.dtype == dtype
-        np.testing.assert_array_equal(kept.values, features.values)
+        np.testing.assert_array_equal(from_kept.values, features.values)
 
     def test_plans_kept_per_step_count(self, tiny_data):
         from noisylab.model import WindowClassifier
-        split = dataclasses.replace(tiny_data.dev)
+        split = tiny_data.dev
         models = [WindowClassifier(tiny_data.embedding_table, k=5, hidden_size=10, dense_size=8,
                                    seed=5, pooling=pooling) for pooling in ("final", "center")]
         inline = [np.array([m.predict(window)[0] for window in split.token_ids])
                   for m in models]
+        kept = {}
         for _ in range(2):  # one split scored by both poolings keeps plans for both
             for model, expected in zip(models, inline):
-                np.testing.assert_array_equal(predict_split(model, split, 64), expected)
-        assert sorted(split.distinct_plans(0, 64)) == [4, 7]
+                np.testing.assert_array_equal(predict_split(model, split, 64, kept), expected)
+        assert sorted(kept[(0, 64)]) == [4, 7]
 
     def test_plans_built_once_per_chunk_and_direction(self, tiny_data, monkeypatch):
         built = []
@@ -481,15 +489,27 @@ class TestPredictSplit:
             return build(ids, steps)
 
         monkeypatch.setattr(kernels, "prefix_plan", spy)
-        data = fresh_data_copy(tiny_data)
         config = dataclasses.replace(TINY, epochs=4, eval_batch_size=100)
-        train_variant("noise-model", data, config, trial_seed=1)
+        train_variant("noise-model", tiny_data, config, trial_seed=1)
         chunks = [-(-np.unique(split.token_ids, axis=0).shape[0] // 100)
-                  for split in (data.dev, data.test)]
-        assert len(built) == 2 * sum(chunks)
+                  for split in (tiny_data.dev, tiny_data.test)]
+        assert len(built) == 2 * sum(chunks) == 16  # dev's kept over 4 epochs
         assert {steps for _, steps in built} == {7}
-        train_variant("noise-model", data, config, trial_seed=2)
-        assert len(built) == 2 * sum(chunks)  # a second trial reuses them
+        train_variant("noise-model", tiny_data, config, trial_seed=2)
+        assert len(built) == 32  # a trial owns its plans; the split keeps none
+
+    def test_prediction_leaves_only_reads_on_a_split(self, corpora, model):
+        data = prepare(TINY, *corpora)
+        splits = (data.clean, data.noisy, data.dev, data.test)
+        before = [dict(vars(split)) for split in splits]
+        predict_split(model, data.dev, 64)
+        config = dataclasses.replace(TINY, epochs=1, pretrain_epochs=1)
+        train_variant("noise-adaptation-model", data, config, trial_seed=1)
+        assert data.noisy.reads > before[1]["reads"]  # N was predicted
+        for split, fields in zip(splits, before):
+            assert vars(split).keys() == fields.keys()
+            assert all(vars(split)[name] is value
+                       for name, value in fields.items() if name != "reads")
 
     def test_empty_split(self, tiny_data, model):
         split = dataclasses.replace(tiny_data.test, token_ids=tiny_data.test.token_ids[:0],
@@ -502,7 +522,8 @@ class TestPredictSplit:
 
     def test_one_evaluation_is_one_read(self, tiny_data, model):
         split = tiny_data.test
+        kept = {}
         for _ in range(2):  # the first call also works out the distinct windows
             before = split.reads
-            evaluate_split(model, split, tiny_data.label_set, 64)
+            evaluate_split(model, split, tiny_data.label_set, 64, kept)
             assert split.reads == before + 1
