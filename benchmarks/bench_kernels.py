@@ -15,7 +15,8 @@ table.  It is timed over the whole window ("final" pooling, 7 steps) and
 up to the middle token ("center" pooling, 4 steps), both in the forward
 direction, in two columns each: building the prefix plan of those ids
 (``kernels.prefix_plan``, which ``training.predict_split`` does once per
-split) and the scan over the prebuilt plan (the per-epoch work).  The distinct-token and distinct-prefix counts of that split
+trial for dev, and once per prediction for any other split) and the scan
+over the prebuilt plan (the per-epoch work).  The distinct-token and distinct-prefix counts of that split
 are printed first.  The backward is timed on caches computed once.  Each
 figure is the median of REPEATS calls with its quartiles in brackets, in
 ms: with several BLAS threads on few cores single calls can stall, which

@@ -291,6 +291,27 @@ class TestConfigRejected:
         assert "error: eval_batch_size = 0 must be > 0" in err
         assert not (tmp_path / "run").exists()
 
+    def test_noisy_factor_beyond_the_pool_stops_before_training(
+            self, tiny_config_text, tmp_path, capsys, monkeypatch):
+        from noisylab import training
+        records = []
+        train_variant = training.train_variant
+
+        def recording(*args, **kwargs):
+            return train_variant(*args, **{**kwargs, "metrics_sink": records.append})
+
+        monkeypatch.setattr(training, "train_variant", recording)
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(tiny_config_text.replace("noisy_factor = 1.0", "noisy_factor = 50"),
+                       encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: noisy_factor 50.0 x |C| " in err
+        assert "exceeds the noisy pool of " in err
+        assert records == []
+        assert not (tmp_path / "run").exists()
+
 
 class TestBadInputFilesExit2:
     def test_truncated_checkpoint(self, run_dir, toy_dir, tmp_path, capsys):
@@ -350,28 +371,6 @@ class TestBadInputFilesExit2:
         assert main(argv) == 2
         assert f"error: {empty}: no sentences" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_noisy_factor_beyond_the_pool_stops_before_training(
-            self, tiny_config_text, tmp_path, capsys, monkeypatch):
-        from noisylab import training
-        records = []
-        train_variant = training.train_variant
-
-        def recording(*args, **kwargs):
-            return train_variant(*args, **{**kwargs, "metrics_sink": records.append})
-
-        monkeypatch.setattr(training, "train_variant", recording)
-        cfg = tmp_path / "config.txt"
-        cfg.write_text(tiny_config_text.replace("noisy_factor = 1.0", "noisy_factor = 50"),
-                       encoding="utf-8")
-        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "error: noisy_factor 50.0 x |C| " in err
-        assert "exceeds the noisy pool of " in err
-        assert records == []
-        assert not (tmp_path / "run").exists()
-
 
 class TestSweepCommand:
     def test_sweep_emits_table(self, toy_dir, tiny_config_text, tmp_path):
