@@ -364,18 +364,16 @@ def lstm_sequence(x, w_in, w_rec, bias):
 def cross_entropy(predicted, targets):
     """Mean negative log probability of the target classes.
 
-    ``predicted`` holds probability distributions (rows summing to 1 within
-    1e-9); ``targets`` are class indices.  Probabilities below 1e-12 are
+    ``predicted`` holds one probability distribution per row (summing to 1
+    within 1e-9); ``targets`` holds one class index per row.  Probabilities below 1e-12 are
     clamped before the log, and each clamping event is counted on
     ``cross_entropy.clamp_events`` and reported as a RuntimeWarning.
     """
-    predicted = _as_tensor(predicted)
-    single = predicted.values.ndim == 1
-    p = predicted if not single else _reshape_row(predicted)
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    n, k = p.shape
-    if targets.shape != (n,):
+    p = _as_tensor(predicted)
+    targets = np.asarray(targets, dtype=np.int64)
+    if p.values.ndim != 2 or targets.shape != p.shape[:1]:
         raise ShapeMismatch(f"cross_entropy: {p.shape} with targets {targets.shape}")
+    n, k = p.shape
     sums = p.values.sum(axis=1)
     # 1e-9 in 64-bit mode; 32-bit rounding needs the looser bound
     tol = 1e-9 if p.values.dtype == np.float64 else 1e-5
@@ -396,10 +394,6 @@ def cross_entropy(predicted, targets):
 
 
 cross_entropy.clamp_events = 0
-
-
-def _reshape_row(t):
-    return _node("row", t.values.reshape(1, -1), (t,), lambda g: (g.reshape(t.shape),))
 
 
 def absolute_error(predicted, target):

@@ -14,11 +14,12 @@ from .model import LabelSet, NoiseMatrix, WindowClassifier
 def save_checkpoint(path, model_state, vocab, label_set, config, noise_b=None,
                     selected_epoch=None, dev_f1_history=None):
     """Write a classifier's ``state_dict()`` and, for a noise-layer
-    variant, its noise weights ``noise_b``."""
+    variant, its noise weights ``noise_b``.  The config text is stored as
+    its UTF-8 bytes."""
     arrays = {f"model_{k}": v for k, v in model_state.items()}
     arrays["vocab_words"] = np.array(vocab.words, dtype=str)
     arrays["classes"] = np.array(label_set.classes, dtype=str)
-    arrays["config_text"] = np.array(config.to_text())
+    arrays["config_text"] = np.frombuffer(config.to_text().encode("utf-8"), dtype=np.uint8)
     if noise_b is not None:
         arrays["noise_b"] = noise_b
     if selected_epoch is not None:
@@ -32,11 +33,14 @@ def load_checkpoint(path):
     """Returns (model, vocab, label_set, config, noise or None, extras).
 
     A damaged archive, or one that lacks an array the model needs, is a
-    ValueError naming the file (and the missing array).
+    ValueError naming the file (and the missing array).  The config text
+    may also be a unicode string array, as older checkpoints store it.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
-            config = ExperimentConfig.from_text(str(data["config_text"]))
+            text = data["config_text"]
+            config = ExperimentConfig.from_text(
+                text.tobytes().decode("utf-8") if text.dtype == np.uint8 else str(text))
             vocab = Vocabulary([str(w) for w in data["vocab_words"]])
             label_set = LabelSet([str(c) for c in data["classes"]])
             state = {name: data[f"model_{name}"] for name in WindowClassifier.STATE}

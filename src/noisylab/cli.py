@@ -42,17 +42,13 @@ def _label_set(arg):
     return LabelSet([n.strip() for n in arg.split(",")])
 
 
-def _load_gazetteer(args):
-    return Gazetteer.load(args.gazetteer, blocklist_path=args.blocklist)
-
-
 def cmd_annotate(args):
     label_set = _label_set(args.labels)
     corpus = _parse(args.input)
-    gaz = _load_gazetteer(args)
+    gaz = Gazetteer.load(args.gazetteer, blocklist_path=args.blocklist,
+                         classes=label_set.classes)
     labeled = annotate((s.tokens for s in corpus.sentences), gaz)
     for sentence, labels in zip(corpus.sentences, labeled):
-        label_set.encode(labels)  # validated against the label set
         sentence.labels = labels
     atomic_write_text(args.output, write_conll(corpus))
     print(f"annotated {corpus.token_count} tokens -> {args.output}")
@@ -105,6 +101,7 @@ def _maybe_gazetteer(config):
     return Gazetteer.load(
         config.gazetteer_path,
         blocklist_path=config.blocklist_path or None,
+        classes=config.label_set().classes,
     )
 
 
@@ -162,12 +159,12 @@ def cmd_evaluate(args):
 def cmd_sweep(args):
     config = ExperimentConfig.load(args.config)
     values = [float(v) for v in args.values.split(",") if v.strip()]
-    os.makedirs(args.out, exist_ok=True)
     train_corpus, dev_corpus, test_corpus = _load_corpora(config)
     rows = training.sweep(
         args.axis, values, config.variant, train_corpus, dev_corpus,
         test_corpus, config, gazetteer=_maybe_gazetteer(config),
     )
+    os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "resolved_config.txt"), config.to_text())
     atomic_write_text(os.path.join(args.out, "sweep.csv"), training.sweep_csv(rows))
     print(f"swept {args.axis} over {len(values)} values -> {args.out}")
@@ -180,7 +177,7 @@ def cmd_report(args):
         raise ValueError("checkpoint has no noise layer")
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "theta.csv"),
-                      evaluation.theta_report(noise, label_set))
+                      evaluation.matrix_csv(noise.theta(), label_set))
     atomic_write_text(os.path.join(args.out, "noise_b.csv"),
                       evaluation.matrix_csv(noise.b_matrix(), label_set))
     print(f"noise channel report -> {args.out}")

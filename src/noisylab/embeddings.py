@@ -21,9 +21,6 @@ class Vocabulary:
     def size(self):
         return len(self.words) + 2
 
-    def lookup(self, word):
-        return self.encode((word,))[0]
-
     def encode(self, tokens):
         """Id of every token: exact match, then lowercase, then UNK."""
         get, unk = self._index.get, self.unk_id

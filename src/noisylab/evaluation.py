@@ -176,11 +176,6 @@ def parse_matrix_csv(text):
     return classes, np.array(rows)
 
 
-def theta_report(noise, label_set: LabelSet) -> str:
-    """CSV of the current noise channel matrix (rows: clean, columns: noisy)."""
-    return matrix_csv(noise.theta(), label_set)
-
-
 def annotation_quality(gold_corpus, auto_corpus, label_set=None) -> PRFReport:
     """Entity-level scores of automatic labels against gold labels."""
     label_set = label_set or LabelSet()

@@ -63,8 +63,10 @@ class Gazetteer:
         return len(self.entries)
 
     @classmethod
-    def load(cls, path, priority=DEFAULT_PRIORITY, blocklist_path=None):
-        """Read "surface<TAB>CLASS" lines; blocklist file has one surface per line."""
+    def load(cls, path, priority=DEFAULT_PRIORITY, blocklist_path=None, classes=None):
+        """Read "surface<TAB>CLASS" lines; blocklist file has one surface per line.
+        With ``classes``, a class outside them (MISC aside, which is skipped)
+        is an error naming the file and line."""
         pairs = []
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -73,8 +75,11 @@ class Gazetteer:
                     continue
                 if "\t" not in line:
                     raise ValueError(f"{path}:{lineno}: expected 'surface<TAB>CLASS'")
-                surface, entity_class = line.rsplit("\t", 1)
-                pairs.append((surface.strip(), entity_class.strip()))
+                surface, entity_class = (part.strip() for part in line.rsplit("\t", 1))
+                if classes is not None and entity_class not in (*classes, "MISC"):
+                    raise ValueError(f"{path}:{lineno}: class {entity_class!r} is not one of "
+                                     f"{', '.join(classes)}")
+                pairs.append((surface, entity_class))
         blocklist = None
         if blocklist_path is not None:
             blocklist = list(DEFAULT_BLOCKLIST) + load_blocklist(blocklist_path)

@@ -19,6 +19,7 @@ class ParameterPack:
     Packing copies each parameter's values, and any gradient it holds, into
     the buffers in list order and rebinds the tensor to views of them, with
     its shape and memory order kept.  The tensors' old arrays are then free.
+    A parameter belongs to one pack, so packing it again raises.
     """
 
     def __init__(self, params):
@@ -28,10 +29,10 @@ class ParameterPack:
         dtype = dtypes[0] if dtypes else DEFAULT_DTYPE
         if len({id(p) for p in params}) != len(params):
             raise ValueError("Adam: a parameter is listed twice")
-        # ids rather than the tensors: the tensors refer to the pack, and a
-        # reference cycle would keep a finished run's buffers alive until
-        # the cycle collector ran
-        self.ids = tuple(id(p) for p in params)
+        for i, p in enumerate(params):
+            if p._pack is not None:
+                raise ValueError(f"Adam: parameter {i} of shape {p.shape} is already packed; "
+                                 f"a parameter list takes one optimizer")
         self.offsets = np.cumsum([0] + [p.values.size for p in params])
         self.layout = [
             (int(start), int(stop), p.values.shape,
@@ -52,34 +53,17 @@ class ParameterPack:
                 for start, stop, shape, order in self.layout]
 
 
-def _pack(params):
-    """The pack that holds exactly ``params``, in this order, or a new one
-    if none of them is packed yet.  Packing a parameter again would detach
-    it from the optimizer that packed it first, so that raises."""
-    if params and params[0]._pack is not None:
-        pack = params[0]._pack
-        if all(p._pack is pack for p in params) and tuple(map(id, params)) == pack.ids:
-            return pack
-    for i, p in enumerate(params):
-        if p._pack is not None:
-            raise ValueError(
-                f"Adam: parameter {i} of shape {p.shape} is already packed with other "
-                f"parameters; optimizers may share only exactly the same parameter list")
-    return ParameterPack(params)
-
-
 class Adam:
     """Standard Adam over a list of parameter tensors of one dtype.
 
-    The parameters are packed into one flat store (see ``ParameterPack``);
-    optimizers given exactly the same list in the same order share it, each
-    with its own moments.  ``step()`` applies one update and zeroes the
-    gradients.
+    The parameters are packed into one flat store (see ``ParameterPack``).
+    ``step()`` applies one update and zeroes the gradients; ``reset()``
+    starts the moments and the step count over.
     """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
-        self.pack = _pack(self.params)
+        self.pack = ParameterPack(self.params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -87,9 +71,14 @@ class Adam:
         self.step_count = 0
         self._m = np.zeros_like(self.pack.values)
         self._v = np.zeros_like(self.pack.values)
-        self.first_moment = self.pack.views(self._m)
-        self.second_moment = self.pack.views(self._v)
         self._scratch = np.empty(min(BLOCK, self._m.size), dtype=self._m.dtype)
+
+    def reset(self):
+        """Zero both moments and the step count, so that the next step is
+        the one a new optimizer over the same parameters would take."""
+        self._m.fill(0.0)
+        self._v.fill(0.0)
+        self.step_count = 0
 
     def step(self):
         """One update of every parameter, computed in place block by block.

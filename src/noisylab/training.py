@@ -96,7 +96,6 @@ class TrialsSummary:
     mean_f1: float
     se: float
     n_seeds: int
-    degenerate: bool
     trials: list
 
 
@@ -228,8 +227,9 @@ def _adam(params, config):
                 beta2=config.beta2, eps=config.epsilon)
 
 
-def _init_noise_matrix(init, model, data, config, trial_seed):
-    """Noise layer for the variant's init kind, or None without one."""
+def _init_noise_matrix(init, model, opt_base, data, config, trial_seed):
+    """Noise layer for the variant's init kind, or None without one; a
+    pretraining init trains through ``opt_base`` and then resets it."""
     if init is None:
         return None
     k = data.k
@@ -242,15 +242,26 @@ def _init_noise_matrix(init, model, data, config, trial_seed):
     else:
         # "prediction-confusion": pretrain on noisy labels only, then read
         # the confusion between the model's own predictions and those labels
-        opt = _adam(model.parameters(), config)
         ids, z = data.noisy.take(slice(None), "z")
         for epoch in range(config.pretrain_epochs):
             rng = substream(trial_seed, "shuffle", "pretrain", epoch)
             with _naming_epoch(epoch, "pretrain"):
-                _supervised_pass(model, ids, z, (opt,), rng, config.batch_size)
+                _supervised_pass(model, ids, z, (opt_base,), rng, config.batch_size)
+        opt_base.reset()
         preds = predict_split(model, data.noisy, config.eval_batch_size)
         b = prediction_confusion_init(preds, z, k, config.alpha)
     return NoiseMatrix(b, dtype=config.numpy_dtype)
+
+
+def noisy_subsample_size(variant, data, config):
+    """Windows in each epoch's noisy subsample, noisy_factor x |C|; raises
+    if the variant draws subsamples from a smaller noisy pool."""
+    phases, _ = _variant(variant)
+    size = int(round(config.noisy_factor * len(data.clean)))
+    if {"noisy", "pooled", "cleaning"} & set(phases) and size > len(data.noisy):
+        raise ValueError(f"noisy_factor {config.noisy_factor} x |C| {len(data.clean)} = "
+                         f"{size} exceeds the noisy pool of {len(data.noisy)}")
+    return size
 
 
 def train_variant(variant, data: SplitDataset, config, trial_seed,
@@ -258,10 +269,7 @@ def train_variant(variant, data: SplitDataset, config, trial_seed,
     """Run one seeded trial of a variant; selects the best epoch by dev F1
     (earliest epoch wins ties) and reports test scores from that epoch."""
     phases, init = _variant(variant)
-    subsample_size = int(round(config.noisy_factor * len(data.clean)))
-    if {"noisy", "pooled", "cleaning"} & set(phases) and subsample_size > len(data.noisy):
-        raise ValueError(f"noisy_factor {config.noisy_factor} x |C| {len(data.clean)} = "
-                         f"{subsample_size} exceeds the noisy pool of {len(data.noisy)}")
+    subsample_size = noisy_subsample_size(variant, data, config)
     k = data.k
     model = WindowClassifier(
         data.embedding_table, k=k, hidden_size=config.hidden_size,
@@ -270,7 +278,7 @@ def train_variant(variant, data: SplitDataset, config, trial_seed,
         pooling=config.pooling, dtype=config.numpy_dtype,
     )
     opt_base = _adam(model.parameters(), config)
-    noise = _init_noise_matrix(init, model, data, config, trial_seed)
+    noise = _init_noise_matrix(init, model, opt_base, data, config, trial_seed)
     opt_noise = None if noise is None else _adam(noise.parameters(), config)
     cleaner = None
     if "cleaning" in phases:
@@ -346,7 +354,7 @@ def train_variant(variant, data: SplitDataset, config, trial_seed,
         test_report=test_report,
         theta=None if noise is None else theta_from_b(best_noise_b),
         noise_b=best_noise_b,
-        model_state=model.state_dict(),
+        model_state=best_state,
     )
 
 
@@ -368,7 +376,6 @@ def run_trials(variant, data: SplitDataset, config, n_seeds=None,
         mean_f1=mean,
         se=se,
         n_seeds=n,
-        degenerate=(n == 1),
         trials=trials,
     )
 
@@ -399,20 +406,28 @@ def sweep(axis, values, variant, train_corpus, dev_corpus, test_corpus, config,
 
     clean-size resamples C at each budget (the per-epoch noisy subsample
     stays tied to |C|); noisy-factor keeps C fixed and scales the
-    subsample.  Returns one row per value.
+    subsample.  Every value is prepared and checked before any trial runs.
+    Returns one row per value.
     """
     _variant(variant)
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    rows = []
+    runs = []
+    data = None
     for value in values:
         if axis == "clean-size":
             cfg = dataclasses.replace(config, clean_budget=int(value))
         else:
             cfg = dataclasses.replace(config, noisy_factor=float(value))
-        data = prepare(cfg, train_corpus, dev_corpus, test_corpus, gazetteer=gazetteer)
+        # noisy_factor does not enter prepare, so one dataset serves every factor
+        if data is None or axis == "clean-size":
+            data = prepare(cfg, train_corpus, dev_corpus, test_corpus, gazetteer=gazetteer)
+        noisy_subsample_size(variant, data, cfg)
+        runs.append((value, cfg, data))
+    rows = []
+    for value, cfg, data in runs:
         summary = run_trials(variant, data, cfg, metrics_sink=metrics_sink)
         rows.append(SweepRow(
             axis_value=float(value),

@@ -88,6 +88,17 @@ class TestLoading:
             Gazetteer.load(path)
         assert ":1:" in str(err.value)
 
+    def test_class_outside_the_given_classes_names_file_and_line(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        path.write_text("France\tLOC\nSmith\tMISC\njohn\tXYZ\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r":3: class 'XYZ' is not one of O, PER") as err:
+            Gazetteer.load(path, classes=("O", "PER", "ORG", "LOC"))
+        assert str(path) in str(err.value)
+        # without classes the file loads as before; MISC lines are skipped either way
+        assert len(Gazetteer.load(path)) == 2
+        path.write_text("France\tLOC\nSmith\tMISC\n", encoding="utf-8")
+        assert len(Gazetteer.load(path, classes=("O", "PER", "ORG", "LOC"))) == 1
+
     def test_blocklist_file_extends_default(self, tmp_path):
         gazfile = tmp_path / "gaz.tsv"
         gazfile.write_text("Horizon\tPER\nFriday\tPER\n", encoding="utf-8")

@@ -244,14 +244,14 @@ class TestNoGrad:
         "take_time": lambda t: ad.take_time(t.seq, 1),
         "lstm": lambda t: ad.lstm_sequence(t.seq, t.w_in, t.w_rec, t.bias),
         "cross_entropy": lambda t: cross_entropy(ad.softmax(t.a), np.array([0, 1, 3])),
-        "cross_entropy_one_row": lambda t: cross_entropy(ad.softmax(t.bias), 1),
+        "cross_entropy_one_row": lambda t: cross_entropy(ad.softmax(t.row), [1]),
     }
 
     @staticmethod
     def operands(requires_grad):
         rng = np.random.default_rng(4)
         shapes = {"a": (3, 4), "w": (4, 2), "b": (3, 4), "seq": (2, 3, 4),
-                  "w_in": (4, 8), "w_rec": (2, 8), "bias": (8,)}
+                  "w_in": (4, 8), "w_rec": (2, 8), "bias": (8,), "row": (1, 8)}
         values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
         values["positive"] = np.abs(values["a"]) + 0.5
         return SimpleNamespace(**{name: Tensor(v, requires_grad=requires_grad)
@@ -330,32 +330,39 @@ class TestSoftmaxProperties:
 
 class TestCrossEntropy:
     def test_certain_prediction_is_zero_loss(self):
-        loss = cross_entropy(Tensor(np.array([1.0, 0.0, 0.0])), 0)
+        loss = cross_entropy(Tensor(np.array([[1.0, 0.0, 0.0]])), [0])
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_half_half(self):
-        loss = cross_entropy(Tensor(np.array([0.5, 0.5])), 0)
+        loss = cross_entropy(Tensor(np.array([[0.5, 0.5]])), [0])
         assert loss.item() == pytest.approx(0.6931471805599453, abs=1e-12)
 
     def test_one_tenth(self):
-        loss = cross_entropy(Tensor(np.array([0.1, 0.9])), 0)
+        loss = cross_entropy(Tensor(np.array([[0.1, 0.9]])), [0])
         assert loss.item() == pytest.approx(2.302585092994046, abs=1e-12)
 
     def test_zero_probability_is_clamped_and_flagged(self):
         before = cross_entropy.clamp_events
         with pytest.warns(RuntimeWarning):
-            loss = cross_entropy(Tensor(np.array([0.0, 1.0])), 0)
+            loss = cross_entropy(Tensor(np.array([[0.0, 1.0]])), [0])
         assert cross_entropy.clamp_events == before + 1
         assert np.isfinite(loss.values).all()
         assert loss.item() == pytest.approx(-np.log(1e-12))
 
     def test_rejects_non_distribution(self):
         with pytest.raises(ValueError):
-            cross_entropy(Tensor(np.array([0.5, 0.6])), 0)
+            cross_entropy(Tensor(np.array([[0.5, 0.6]])), [0])
 
     def test_rejects_target_out_of_range(self):
         with pytest.raises(ValueError):
-            cross_entropy(Tensor(np.array([0.5, 0.5])), 2)
+            cross_entropy(Tensor(np.array([[0.5, 0.5]])), [2])
+
+    @pytest.mark.parametrize("predicted, targets", [
+        ([0.5, 0.5], 0), ([0.5, 0.5], [0]), ([[0.5, 0.5]], 0), ([[0.5, 0.5]], [0, 1]),
+    ], ids=["one-d-row", "one-d-row-list-target", "scalar-target", "too-many-targets"])
+    def test_rows_and_targets_must_pair_up(self, predicted, targets):
+        with pytest.raises(ShapeMismatch, match="cross_entropy"):
+            cross_entropy(Tensor(np.array(predicted)), targets)
 
     def test_batch_mean(self):
         p = Tensor(np.array([[0.5, 0.5], [0.1, 0.9]]))

@@ -352,6 +352,25 @@ class TestBadInputFilesExit2:
         assert f"error: {bad}: line 2: tag 'FOO' not in label set" in capsys.readouterr().err
         assert not (tmp_path / "out.conll").exists()
 
+    @pytest.mark.parametrize("command", ["annotate", "train"])
+    def test_gazetteer_class_outside_the_labels_names_file_and_line(
+            self, command, toy_dir, tiny_config_text, tmp_path, capsys):
+        gaz = tmp_path / "gazetteer.tsv"
+        gaz.write_text("Paris\tLOC\njohn\tXYZ\n", encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "annotate":
+            argv = ["annotate", "--input", str(toy_dir / "train.conll"),
+                    "--gazetteer", str(gaz), "--output", str(out)]
+        else:
+            cfg = tmp_path / "config.txt"
+            cfg.write_text(tiny_config_text.replace(
+                "noisy_source = channel", "noisy_source = gazetteer").replace(
+                "gazetteer_path = \n", f"gazetteer_path = {gaz}\n"), encoding="utf-8")
+            argv = ["train", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"error: {gaz}:2: class 'XYZ' is not one of O, PER" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_empty_corpus_file_names_the_file(self, command, run_dir, tiny_config_text,
                                               tmp_path, capsys):
@@ -385,6 +404,27 @@ class TestSweepCommand:
         assert lines[0] == "axis_value,variant,mean_f1,se,n_seeds"
         assert len(lines) == 3
         assert lines[1].startswith("0.5,noise-model,")
+
+
+    def test_value_beyond_the_pool_stops_before_any_trial(
+            self, tiny_config_text, tmp_path, capsys, monkeypatch):
+        from noisylab import training
+        records = []
+        run_trials = training.run_trials
+
+        def recording(*args, **kwargs):
+            return run_trials(*args, **{**kwargs, "metrics_sink": records.append})
+
+        monkeypatch.setattr(training, "run_trials", recording)
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(tiny_config_text, encoding="utf-8")
+        out = tmp_path / "sweepout"
+        code = main(["sweep", "--config", str(cfg), "--axis", "noisy-factor",
+                     "--values", "0.5,50", "--out", str(out)])
+        assert code == 2
+        assert "error: noisy_factor 50.0 x |C| " in capsys.readouterr().err
+        assert records == []
+        assert not out.exists()
 
 
 class TestPipelineSmoke:

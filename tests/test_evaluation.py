@@ -15,7 +15,6 @@ from noisylab.evaluation import (
     entity_spans,
     matrix_csv,
     parse_matrix_csv,
-    theta_report,
 )
 from noisylab.model import LabelSet, NoiseMatrix, theta_from_b
 from noisylab.noise import estimate_confusion, identity_init
@@ -244,7 +243,7 @@ class TestMatrixReports:
     def test_theta_report_round_trip(self):
         ls = LabelSet()
         noise = NoiseMatrix(identity_init(5))
-        text = theta_report(noise, ls)
+        text = matrix_csv(noise.theta(), ls)
         classes, matrix = parse_matrix_csv(text)
         assert classes == list(ls.classes)
         np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
@@ -252,7 +251,7 @@ class TestMatrixReports:
 
     def test_identity_init_report_structure(self):
         ls = LabelSet()
-        _, matrix = parse_matrix_csv(theta_report(NoiseMatrix(identity_init(5)), ls))
+        _, matrix = parse_matrix_csv(matrix_csv(NoiseMatrix(identity_init(5)).theta(), ls))
         assert matrix[0, 0] == pytest.approx(np.e / (np.e + 4), abs=1e-12)
 
     def test_matrix_csv_full_precision(self):

@@ -97,7 +97,7 @@ class TestEmbeddings:
         assert table.shape == (4, 3)
         np.testing.assert_array_equal(table[vocab.pad_id], 0.0)
         np.testing.assert_array_equal(table[vocab.unk_id], 0.0)
-        np.testing.assert_allclose(table[vocab.lookup("alpha")], [0.1, 0.2, 0.3])
+        np.testing.assert_allclose(table[vocab.encode(["alpha"])[0]], [0.1, 0.2, 0.3])
 
     def test_wrong_component_count_names_line(self, tmp_path):
         path = tmp_path / "vectors.txt"
@@ -134,10 +134,8 @@ class TestEmbeddings:
 
     def test_lowercase_fallback(self):
         vocab = Vocabulary(["britain", "Paris"])
-        assert vocab.lookup("Paris") == 1
-        assert vocab.lookup("BRITAIN".lower()) == 0
-        assert vocab.lookup("Britain") == 0
-        assert vocab.lookup("unknown-token") == vocab.unk_id
+        assert vocab.encode(["Paris", "BRITAIN".lower(), "Britain", "unknown-token"]) == [
+            1, 0, 0, vocab.unk_id]
 
     @given(words=st.lists(st.sampled_from(["paris", "Paris", "ROME", "rome", "Oslo", "x"]),
                           unique=True),
@@ -153,7 +151,7 @@ class TestEmbeddings:
 
         vocab = Vocabulary(words)
         assert vocab.encode(tokens) == [expected(t) for t in tokens]
-        assert [vocab.lookup(t) for t in tokens] == [expected(t) for t in tokens]
+        assert [vocab.encode([t])[0] for t in tokens] == [expected(t) for t in tokens]
 
     def test_random_embeddings_seeded(self):
         words = build_vocab_words(["a", "b", "a", "c"])
@@ -403,6 +401,37 @@ class TestCheckpointSave:
         with pytest.raises(ValueError, match="File is not a zip file") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+    def test_config_text_is_stored_as_utf8_bytes(self, tmp_path):
+        from noisylab.checkpoint import load_checkpoint, save_checkpoint
+
+        config = ExperimentConfig(hidden_size=4, dense_size=3,
+                                  train_path="/data/korpus-ü/train.conll")
+        vocab = Vocabulary(["alpha", "beta"])
+        model = self._save(tmp_path / "unused.npz")
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(path, model.state_dict(), vocab, LabelSet(), config)
+        with np.load(path) as data:
+            stored = data["config_text"]
+        assert stored.dtype == np.uint8
+        assert stored.tobytes() == config.to_text().encode("utf-8")
+        assert load_checkpoint(path)[3] == config
+
+    def test_checkpoint_with_a_unicode_config_array_still_loads(self, tmp_path):
+        from noisylab.checkpoint import load_checkpoint
+
+        path = tmp_path / "checkpoint.npz"
+        model = self._save(path)
+        config = load_checkpoint(path)[3]
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["config_text"] = np.array(config.to_text())  # the older format
+        np.savez(path, **arrays)
+        loaded, _, _, config2, noise, extras = load_checkpoint(path)
+        assert config2 == config
+        for name, values in model.state_dict().items():
+            np.testing.assert_array_equal(loaded.state_dict()[name], values)
+        assert extras == {"selected_epoch": 2, "dev_f1_history": [0.1, 0.3, 0.5]}
 
     @pytest.mark.parametrize("dropped", ["config_text", "model_fw_rec"])
     def test_missing_array_is_a_value_error_naming_it(self, tmp_path, dropped):

@@ -46,12 +46,31 @@ def test_step_zeroes_gradients():
     np.testing.assert_array_equal(w.grad, 0.0)
 
 
-def test_moment_shapes_match_parameters():
-    a = Tensor(np.zeros((2, 3)), requires_grad=True)
-    b = Tensor(np.zeros(5), requires_grad=True)
-    opt = Adam([a, b])
-    assert opt.first_moment[0].shape == (2, 3)
-    assert opt.second_moment[1].shape == (5,)
+def test_reset_steps_on_as_a_new_optimizer_would():
+    rng = np.random.default_rng(3)
+    start = [rng.standard_normal((2, 3)), rng.standard_normal(5)]
+    grads = [[rng.standard_normal(s.shape) for _ in range(4)] for s in start]
+    params = [Tensor(s.copy(), requires_grad=True) for s in start]
+    opt = Adam(params, lr=0.01)
+    for step in range(2):
+        for p, g in zip(params, grads):
+            p.grad = g[step]
+        opt.step()
+    opt.reset()
+    assert opt.step_count == 0
+    assert not opt._m.any() and not opt._v.any()
+    # a new optimizer over copies of the reset parameters, for the next steps
+    copies = [Tensor(p.values.copy(), requires_grad=True) for p in params]
+    fresh = Adam(copies, lr=0.01)
+    for step in range(2, 4):
+        for p, c, g in zip(params, copies, grads):
+            p.grad = g[step]
+            c.grad = g[step]
+        opt.step()
+        fresh.step()
+    assert opt.step_count == fresh.step_count == 2
+    for p, c in zip(params, copies):
+        np.testing.assert_array_equal(p.values, c.values)
 
 
 def test_step_count_strictly_increases():
@@ -148,22 +167,19 @@ def test_grad_setter_writes_into_the_pack():
     np.testing.assert_array_equal(opt.pack.grads, 3.0)  # d(w*w)/dw = 0 at w = 0
 
 
-def test_two_optimizers_over_the_same_parameters_share_the_storage():
+def test_second_optimizer_over_the_same_parameters_raises():
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.ones(4), requires_grad=True)
     first = Adam([a, b], lr=0.1)
-    second = Adam([a, b], lr=0.1)
-    assert second.pack is first.pack
-    for opt, want in ((first, 0.9), (second, 0.8)):
-        a.grad = np.ones((2, 3))
-        b.grad = np.ones(4)
-        opt.step()
-        np.testing.assert_allclose(a.values, want, rtol=1e-6)
-        np.testing.assert_allclose(b.values, want, rtol=1e-6)
-        np.testing.assert_array_equal(a.grad, 0.0)
-    # each optimizer keeps its own moments
-    assert first.step_count == second.step_count == 1
-    assert first.first_moment[0] is not second.first_moment[0]
+    with pytest.raises(ValueError, match=r"parameter 0 of shape \(2, 3\) is already packed"):
+        Adam([a, b], lr=0.1)
+    # the first optimizer still owns and updates both parameters
+    a.grad = np.ones((2, 3))
+    b.grad = np.ones(4)
+    first.step()
+    np.testing.assert_allclose(a.values, 0.9, rtol=1e-6)
+    np.testing.assert_allclose(b.values, 0.9, rtol=1e-6)
+    assert a.values.base is first.pack.values and b.values.base is first.pack.values
 
 
 @pytest.mark.parametrize("other", [
@@ -171,6 +187,7 @@ def test_two_optimizers_over_the_same_parameters_share_the_storage():
     lambda a, b, c: [b, a],
     lambda a, b, c: [a, b, c],
     lambda a, b, c: [c, b],
+    lambda a, b, c: [a, b],
 ])
 def test_packing_a_parameter_of_another_pack_raises(other):
     a, b, c = (Tensor(np.zeros(3), requires_grad=True) for _ in range(3))
