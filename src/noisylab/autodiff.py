@@ -365,9 +365,10 @@ def cross_entropy(predicted, targets):
     """Mean negative log probability of the target classes.
 
     ``predicted`` holds one probability distribution per row (summing to 1
-    within 1e-9); ``targets`` holds one class index per row.  Probabilities below 1e-12 are
-    clamped before the log, and each clamping event is counted on
-    ``cross_entropy.clamp_events`` and reported as a RuntimeWarning.
+    within 1e-9); ``targets`` holds one class index per row.  Probabilities
+    below 1e-12 are clamped before the log, and each clamping event is
+    counted on ``cross_entropy.clamp_events`` and reported as a
+    RuntimeWarning.
     """
     p = _as_tensor(predicted)
     targets = np.asarray(targets, dtype=np.int64)
