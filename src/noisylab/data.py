@@ -22,31 +22,20 @@ from .rng import substream
 def sample_clean_subset(corpus: CorpusDocument, word_budget: int, seed: int):
     """Randomly pick whole sentences until the token budget is reached.
 
-    Sentences keep their original corpus order inside both halves.
-    Returns (clean subset, remainder).
+    Returns one bool per sentence, True for the clean subset: the shortest
+    prefix of a seeded permutation of the sentences that holds the budget.
     """
     if word_budget <= 0:
         raise ValueError("word budget must be positive")
-    total = corpus.token_count
+    lengths = np.array([len(s) for s in corpus.sentences], dtype=np.int64)
+    total = int(lengths.sum())
     if word_budget > total:
         raise ValueError(f"word budget {word_budget} exceeds corpus size {total}")
-    rng = substream(seed, "clean-subset")
-    order = rng.permutation(len(corpus.sentences))
-    chosen = []
-    count = 0
-    for idx in order:
-        chosen.append(int(idx))
-        count += len(corpus.sentences[idx])
-        if count >= word_budget:
-            break
-    chosen_set = set(chosen)
-    clean = CorpusDocument(
-        sentences=[corpus.sentences[i] for i in sorted(chosen_set)]
-    )
-    rest = CorpusDocument(
-        sentences=[s for i, s in enumerate(corpus.sentences) if i not in chosen_set]
-    )
-    return clean, rest
+    order = substream(seed, "clean-subset").permutation(lengths.shape[0])
+    taken = np.searchsorted(np.cumsum(lengths[order]), word_budget) + 1
+    chosen = np.zeros(lengths.shape[0], dtype=bool)
+    chosen[order[:taken]] = True
+    return chosen
 
 
 @dataclass
@@ -97,8 +86,7 @@ class SplitDataset:
             split.reads = 0
 
 
-def corpus_windows(corpus: CorpusDocument, vocab, name, label_set=None,
-                   y_names=None, z=None, eval_only_y=None):
+def corpus_windows(corpus: CorpusDocument, vocab, name, label_set=None, y_names=None):
     """Build a TrackedSplit of all token windows in corpus order."""
     lengths = np.array([len(s.tokens) for s in corpus.sentences], dtype=np.int64)
     return TrackedSplit(
@@ -106,8 +94,6 @@ def corpus_windows(corpus: CorpusDocument, vocab, name, label_set=None,
         token_ids=token_windows(vocab.encode(corpus.all_tokens()), lengths, vocab.pad_id),
         sentence_lengths=lengths,
         y=None if y_names is None else label_set.encode(y_names),
-        z=None if z is None else np.asarray(z, dtype=np.int64),
-        eval_only_y=None if eval_only_y is None else np.asarray(eval_only_y, dtype=np.int64),
     )
 
 
@@ -143,63 +129,56 @@ def build_channel_spec(kind, label_set, seed, rho=0.0, permutation="", preset=""
 def prepare(config, train_corpus, dev_corpus, test_corpus, gazetteer=None) -> SplitDataset:
     """Assemble the full experiment dataset from labeled corpora.
 
-    The clean subset C is sampled from the training corpus by token
-    budget.  Noisy labels come either from a synthetic channel applied to
-    the gold labels or from gazetteer annotation; the same process also
-    produces noisy twins for C's tokens, which seed the noise-layer
-    initialization.  ``noisy_scope`` selects whether N covers the
-    remainder only or the whole training corpus.
+    The clean subset C is a sample of the training sentences by token
+    budget; N is the rest of them, or all of them when ``noisy_scope`` is
+    "all".  Both are token rows of one encoding of the training corpus.
+    Noisy labels come either from a synthetic channel applied to the gold
+    labels or from gazetteer annotation; the same process also produces
+    noisy twins for C's tokens, which seed the noise-layer initialization.
     """
     label_set = config.label_set()
     for name, corpus in (("train", train_corpus), ("dev", dev_corpus), ("test", test_corpus)):
         if not corpus.labeled:
             raise ValueError(f"{name} corpus must be fully labeled")
 
-    clean_corpus, rest_corpus = sample_clean_subset(
-        train_corpus, config.clean_budget, seed=config.seed
-    )
-    noisy_corpus = train_corpus if config.noisy_scope == "all" else rest_corpus
-    noisy_y = label_set.encode(noisy_corpus.flat_labels())
+    in_clean = sample_clean_subset(train_corpus, config.clean_budget, seed=config.seed)
+    in_noisy = np.ones_like(in_clean) if config.noisy_scope == "all" else ~in_clean
+    lengths = np.array([len(s) for s in train_corpus.sentences], dtype=np.int64)
+    clean_rows, noisy_rows = np.repeat(in_clean, lengths), np.repeat(in_noisy, lengths)
+    y = label_set.encode(train_corpus.flat_labels())
+    clean_y, noisy_y = y[clean_rows], y[noisy_rows]
 
     if config.noisy_source == "gazetteer":
         if gazetteer is None:
             raise ValueError("gazetteer mode needs a gazetteer")
-        noisy_z, clean_z = (
-            label_set.encode(chain.from_iterable(
-                annotate((s.tokens for s in corpus.sentences), gazetteer)))
-            for corpus in (noisy_corpus, clean_corpus))
+        z = label_set.encode(chain.from_iterable(
+            annotate((s.tokens for s in train_corpus.sentences), gazetteer)))
+        noisy_z, clean_z = z[noisy_rows], z[clean_rows]
     else:
         spec = build_channel_spec(
             config.channel_kind, label_set, config.seed, rho=config.channel_rho,
             permutation=config.channel_permutation, preset=config.channel_preset,
             matrix_path=config.channel_matrix_path)
         noisy_z = apply_channel(noisy_y, spec, stream="noisy")
-        clean_y_flat = label_set.encode(clean_corpus.flat_labels())
-        clean_z = apply_channel(clean_y_flat, spec, stream="clean-init")
+        clean_z = apply_channel(clean_y, spec, stream="clean-init")
 
-    words = build_vocab_words(train_corpus.all_tokens())
     if config.embeddings_path:
         table, vocab = load_embeddings(config.embeddings_path, config.embedding_dim)
     else:
+        words = build_vocab_words(train_corpus.all_tokens())
         table, vocab = random_embeddings(words, config.embedding_dim, seed=config.seed)
+    token_ids = np.array(vocab.encode(train_corpus.all_tokens()), dtype=np.int64)
 
-    clean_split = corpus_windows(
-        clean_corpus, vocab, "clean", label_set,
-        y_names=clean_corpus.flat_labels(), z=clean_z,
-    )
-    noisy_split = corpus_windows(
-        noisy_corpus, vocab, "noisy", label_set,
-        z=noisy_z, eval_only_y=noisy_y,
-    )
-    dev_split = corpus_windows(dev_corpus, vocab, "dev", label_set,
-                               y_names=dev_corpus.flat_labels())
-    test_split = corpus_windows(test_corpus, vocab, "test", label_set,
-                                y_names=test_corpus.flat_labels())
+    def train_split(name, sentences, rows, **labels):
+        return TrackedSplit(name, token_windows(token_ids[rows], lengths[sentences], vocab.pad_id),
+                            lengths[sentences], **labels)
+
     return SplitDataset(
-        clean=clean_split,
-        noisy=noisy_split,
-        dev=dev_split,
-        test=test_split,
+        clean=train_split("clean", in_clean, clean_rows, y=clean_y, z=clean_z),
+        noisy=train_split("noisy", in_noisy, noisy_rows, z=noisy_z, eval_only_y=noisy_y),
+        dev=corpus_windows(dev_corpus, vocab, "dev", label_set, y_names=dev_corpus.flat_labels()),
+        test=corpus_windows(test_corpus, vocab, "test", label_set,
+                            y_names=test_corpus.flat_labels()),
         label_set=label_set,
         vocab=vocab,
         embedding_table=table,

@@ -20,6 +20,7 @@ GAZETTEER_LIKE_MATRIX = np.array([
 ])
 
 CHANNEL_KINDS = ("uniform", "permutation", "empirical")
+CHANNEL_PRESETS = ("gazetteer-like",)  # empirical channels known by name
 
 
 @dataclass
@@ -151,15 +152,3 @@ def init_noise_weights(counts: ConfusionCounts, alpha=1.0) -> np.ndarray:
     totals = c.sum(axis=1, keepdims=True)
     return np.log((c + alpha) / (totals + k * alpha))
 
-
-def identity_init(k) -> np.ndarray:
-    """Identity weight matrix for the noise layer."""
-    if k < 2:
-        raise ValueError("need at least 2 classes")
-    return np.eye(k)
-
-
-def prediction_confusion_init(predicted_labels, noisy_labels, k, alpha=1.0) -> np.ndarray:
-    """Noise weights from the confusion between a model's own predictions
-    (standing in for unseen clean labels) and the observed noisy labels."""
-    return init_noise_weights(estimate_confusion(predicted_labels, noisy_labels, k), alpha)

@@ -31,12 +31,7 @@ from .model import (
     one_hot,
     theta_from_b,
 )
-from .noise import (
-    estimate_confusion,
-    identity_init,
-    init_noise_weights,
-    prediction_confusion_init,
-)
+from .noise import estimate_confusion, init_noise_weights
 from .optim import Adam
 from .rng import substream
 
@@ -232,13 +227,12 @@ def _init_noise_matrix(init, model, opt_base, data, config, trial_seed):
     pretraining init trains through ``opt_base`` and then resets it."""
     if init is None:
         return None
-    k = data.k
     if init == "identity":
-        b = identity_init(k)
-    elif init == "clean-confusion":
+        return NoiseMatrix(np.eye(data.k), dtype=config.numpy_dtype)
+    if init == "clean-confusion":
         if data.clean.z is None:
             raise ValueError("noise-model needs noisy twins of the clean labels")
-        b = init_noise_weights(estimate_confusion(data.clean.y, data.clean.z, k), config.alpha)
+        labels, z = data.clean.y, data.clean.z
     else:
         # "prediction-confusion": pretrain on noisy labels only, then read
         # the confusion between the model's own predictions and those labels
@@ -248,8 +242,8 @@ def _init_noise_matrix(init, model, opt_base, data, config, trial_seed):
             with _naming_epoch(epoch, "pretrain"):
                 _supervised_pass(model, ids, z, (opt_base,), rng, config.batch_size)
         opt_base.reset()
-        preds = predict_split(model, data.noisy, config.eval_batch_size)
-        b = prediction_confusion_init(preds, z, k, config.alpha)
+        labels = predict_split(model, data.noisy, config.eval_batch_size)
+    b = init_noise_weights(estimate_confusion(labels, z, data.k), config.alpha)
     return NoiseMatrix(b, dtype=config.numpy_dtype)
 
 
@@ -406,28 +400,33 @@ def sweep(axis, values, variant, train_corpus, dev_corpus, test_corpus, config,
 
     clean-size resamples C at each budget (the per-epoch noisy subsample
     stays tied to |C|); noisy-factor keeps C fixed and scales the
-    subsample.  Every value is prepared and checked before any trial runs.
-    Returns one row per value.
+    subsample.  Every value is prepared and checked before any trial runs;
+    a clean size's dataset is then dropped and prepared again for its
+    trials, so one prepared dataset is held at a time.  Returns one row
+    per value.
     """
     _variant(variant)
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    runs = []
-    data = None
-    for value in values:
-        if axis == "clean-size":
-            cfg = dataclasses.replace(config, clean_budget=int(value))
-        else:
-            cfg = dataclasses.replace(config, noisy_factor=float(value))
-        # noisy_factor does not enter prepare, so one dataset serves every factor
-        if data is None or axis == "clean-size":
-            data = prepare(cfg, train_corpus, dev_corpus, test_corpus, gazetteer=gazetteer)
-        noisy_subsample_size(variant, data, cfg)
-        runs.append((value, cfg, data))
+    if axis == "clean-size":
+        cfgs = [dataclasses.replace(config, clean_budget=int(v)) for v in values]
+    else:
+        cfgs = [dataclasses.replace(config, noisy_factor=float(v)) for v in values]
+
+    def prepared(cfg):
+        return prepare(cfg, train_corpus, dev_corpus, test_corpus, gazetteer=gazetteer)
+
+    # noisy_factor does not enter prepare, so one dataset serves every factor
+    data = None if axis == "clean-size" else prepared(config)
+    for cfg in cfgs:
+        noisy_subsample_size(variant, prepared(cfg) if data is None else data, cfg)
     rows = []
-    for value, cfg, data in runs:
+    for value, cfg in zip(values, cfgs):
+        if axis == "clean-size":
+            data = None  # free the last value's dataset before preparing this one
+            data = prepared(cfg)
         summary = run_trials(variant, data, cfg, metrics_sink=metrics_sink)
         rows.append(SweepRow(
             axis_value=float(value),

@@ -1,23 +1,23 @@
 """Noise channels, confusion counting, and noise-layer initialization."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from noisylab.config import ExperimentConfig
 from noisylab.data import prepare
-from noisylab.model import theta_from_b
+from noisylab.model import LabelSet, theta_from_b
 from noisylab.noise import (
     GAZETTEER_LIKE_MATRIX,
     ConfusionCounts,
     NoiseChannelSpec,
     apply_channel,
     estimate_confusion,
-    identity_init,
     init_noise_weights,
-    prediction_confusion_init,
 )
+from noisylab.training import _init_noise_matrix
 from noisylab.toydata import generate_corpus
 
 
@@ -151,38 +151,47 @@ class TestInitNoiseWeights:
 
 class TestIdentityInit:
     def test_shape_and_values(self):
-        b = identity_init(4)
-        np.testing.assert_array_equal(b, np.eye(4))
+        for dtype in ("float64", "float32"):
+            noise = _init_noise_matrix("identity", None, None, SimpleNamespace(k=4),
+                                       ExperimentConfig(dtype=dtype), trial_seed=0)
+            np.testing.assert_array_equal(noise.b_matrix(), np.eye(4))
+            assert noise.b_matrix().dtype == np.dtype(dtype)
 
     def test_theta_diagonal_k5(self):
-        theta = theta_from_b(identity_init(5))
+        theta = theta_from_b(np.eye(5))
         np.testing.assert_allclose(np.diag(theta), np.e / (np.e + 4), atol=1e-12)
 
     def test_theta_diagonal_k2(self):
-        theta = theta_from_b(identity_init(2))
+        theta = theta_from_b(np.eye(2))
         assert theta[0, 0] == pytest.approx(np.e / (np.e + 1), abs=1e-12)
 
     def test_k_must_be_at_least_two(self):
-        with pytest.raises(ValueError):
-            identity_init(1)
+        # the identity init takes k from the label set, which refuses k < 2
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            LabelSet(("O",))
+
+
+def prediction_confusion(pred, z, k):
+    """noise-adaptation-model's init from predictions and noisy labels."""
+    return init_noise_weights(estimate_confusion(pred, z, k), alpha=1.0)
 
 
 class TestPredictionConfusionInit:
     def test_predictions_equal_noisy_labels_gives_near_identity(self):
         z = np.random.default_rng(2).integers(0, 4, size=800)
-        theta = theta_from_b(prediction_confusion_init(z, z, k=4))
+        theta = theta_from_b(prediction_confusion(z, z, k=4))
         assert (np.diag(theta) > 0.9).all()
 
     def test_independent_predictions_give_near_uniform_rows(self):
         rng = np.random.default_rng(3)
         pred = rng.integers(0, 4, size=20_000)
         z = rng.integers(0, 4, size=20_000)
-        theta = theta_from_b(prediction_confusion_init(pred, z, k=4))
+        theta = theta_from_b(prediction_confusion(pred, z, k=4))
         np.testing.assert_allclose(theta, 0.25, atol=0.02)
 
     def test_rows_normalize(self):
         rng = np.random.default_rng(4)
-        theta = theta_from_b(prediction_confusion_init(
+        theta = theta_from_b(prediction_confusion(
             rng.integers(0, 3, 50), rng.integers(0, 3, 50), k=3))
         np.testing.assert_allclose(theta.sum(axis=1), 1.0, atol=1e-12)
 

@@ -291,6 +291,30 @@ class TestConfigRejected:
         assert "error: eval_batch_size = 0 must be > 0" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("edits, message", [
+        ({"channel_preset = gazetteer-like": "channel_preset = gazeteer-like"},
+         "error: channel_preset = 'gazeteer-like' is not one of gazetteer-like"),
+        ({"channel_kind = empirical": "channel_kind = permutation",
+          "channel_permutation = ": "channel_permutation = O,PER,ORG,LOC,MISX"},
+         "error: channel_permutation = 'O,PER,ORG,LOC,MISX' must name each of "
+         "O, PER, ORG, LOC, MISC once"),
+        ({"channel_kind = empirical": "channel_kind = uniform",
+          "channel_rho = 0.0": "channel_rho = 1.5"},
+         "error: channel_rho = 1.5 must be in [0, 1]"),
+    ], ids=["preset", "permutation", "rho"])
+    def test_bad_channel_key_exits_2_naming_it(self, tiny_config_text, tmp_path, capsys,
+                                              edits, message):
+        text = tiny_config_text
+        for old, new in edits.items():
+            assert f"\n{old}\n" in text
+            text = text.replace(f"\n{old}\n", f"\n{new}\n")
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(text, encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_noisy_factor_beyond_the_pool_stops_before_training(
             self, tiny_config_text, tmp_path, capsys, monkeypatch):
         from noisylab import training

@@ -17,7 +17,7 @@ from noisylab.evaluation import (
     parse_matrix_csv,
 )
 from noisylab.model import LabelSet, NoiseMatrix, theta_from_b
-from noisylab.noise import estimate_confusion, identity_init
+from noisylab.noise import estimate_confusion
 
 
 def brute_force_spans(labels, o_index=0):
@@ -242,16 +242,16 @@ class TestTokenConfusion:
 class TestMatrixReports:
     def test_theta_report_round_trip(self):
         ls = LabelSet()
-        noise = NoiseMatrix(identity_init(5))
+        noise = NoiseMatrix(np.eye(5))
         text = matrix_csv(noise.theta(), ls)
         classes, matrix = parse_matrix_csv(text)
         assert classes == list(ls.classes)
         np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(matrix, theta_from_b(identity_init(5)), atol=1e-12)
+        np.testing.assert_allclose(matrix, theta_from_b(np.eye(5)), atol=1e-12)
 
     def test_identity_init_report_structure(self):
         ls = LabelSet()
-        _, matrix = parse_matrix_csv(matrix_csv(NoiseMatrix(identity_init(5)).theta(), ls))
+        _, matrix = parse_matrix_csv(matrix_csv(NoiseMatrix(np.eye(5)).theta(), ls))
         assert matrix[0, 0] == pytest.approx(np.e / (np.e + 4), abs=1e-12)
 
     def test_matrix_csv_full_precision(self):

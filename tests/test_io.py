@@ -2,6 +2,7 @@
 sampling."""
 
 import dataclasses
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from hypothesis import strategies as st
 
 from noisylab.config import CHOICES, RANGES, ExperimentConfig
 from noisylab.conll import CorpusDocument, Sentence, parse_conll, write_conll
-from noisylab.data import sample_clean_subset
+from noisylab.data import build_channel_spec, corpus_windows, prepare, sample_clean_subset
 from noisylab.embeddings import (
     Vocabulary,
     build_vocab_words,
     load_embeddings,
     random_embeddings,
 )
+from noisylab.gazetteer import Gazetteer, annotate
 from noisylab.model import LabelSet
+from noisylab.noise import apply_channel
+from noisylab.rng import substream
 
 
 class TestParseConll:
@@ -173,29 +177,28 @@ class TestSampleCleanSubset:
 
     def test_full_budget_takes_everything(self):
         corpus = self._corpus(5, 4)
-        clean, rest = sample_clean_subset(corpus, 20, seed=0)
-        assert clean.token_count == 20
-        assert rest.sentences == []
+        chosen = sample_clean_subset(corpus, 20, seed=0)
+        assert chosen.dtype == bool and chosen.shape == (5,)
+        assert chosen.all()
 
     def test_budget_reached_with_whole_sentences(self):
         corpus = self._corpus(50, 10)
-        clean, rest = sample_clean_subset(corpus, 95, seed=1)
-        assert clean.token_count >= 95
-        assert clean.token_count % 10 == 0
-        assert clean.token_count + rest.token_count == 500
+        chosen = sample_clean_subset(corpus, 95, seed=1)
+        assert chosen.shape == (50,)
+        # whole 10-token sentences, and no more of them than reach 95 tokens
+        assert int(chosen.sum()) * 10 >= 95
+        assert (int(chosen.sum()) - 1) * 10 < 95
 
     def test_same_seed_same_split(self):
         corpus = self._corpus(30, 7)
-        a_clean, a_rest = sample_clean_subset(corpus, 50, seed=9)
-        b_clean, b_rest = sample_clean_subset(corpus, 50, seed=9)
-        assert [s.tokens for s in a_clean.sentences] == [s.tokens for s in b_clean.sentences]
-        assert [s.tokens for s in a_rest.sentences] == [s.tokens for s in b_rest.sentences]
+        np.testing.assert_array_equal(sample_clean_subset(corpus, 50, seed=9),
+                                      sample_clean_subset(corpus, 50, seed=9))
 
     def test_different_seed_differs(self):
         corpus = self._corpus(30, 7)
-        a, _ = sample_clean_subset(corpus, 50, seed=1)
-        b, _ = sample_clean_subset(corpus, 50, seed=2)
-        assert [s.tokens for s in a.sentences] != [s.tokens for s in b.sentences]
+        a = sample_clean_subset(corpus, 50, seed=1)
+        b = sample_clean_subset(corpus, 50, seed=2)
+        assert not np.array_equal(a, b)
 
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -204,6 +207,83 @@ class TestSampleCleanSubset:
     def test_excessive_budget_rejected(self):
         with pytest.raises(ValueError):
             sample_clean_subset(self._corpus(2, 2), 100, seed=0)
+
+
+def sub_corpora(corpus, word_budget, seed):
+    """(C, rest) as two CorpusDocuments, picked by walking the seeded
+    permutation until the budget is reached: the sampler's old output."""
+    order = substream(seed, "clean-subset").permutation(len(corpus.sentences))
+    chosen, count = set(), 0
+    for idx in order:
+        chosen.add(int(idx))
+        count += len(corpus.sentences[idx])
+        if count >= word_budget:
+            break
+    return (CorpusDocument([s for i, s in enumerate(corpus.sentences) if i in chosen]),
+            CorpusDocument([s for i, s in enumerate(corpus.sentences) if i not in chosen]))
+
+
+def sub_corpus_splits(config, train, gazetteer, vocab):
+    """C and N built from sub-corpora, each encoded, annotated and windowed
+    on its own: the oracle for prepare's rows of one encoding."""
+    label_set = config.label_set()
+    clean, rest = sub_corpora(train, config.clean_budget, config.seed)
+    noisy = train if config.noisy_scope == "all" else rest
+    if config.noisy_source == "gazetteer":
+        clean_z, noisy_z = (label_set.encode(chain.from_iterable(
+            annotate((s.tokens for s in c.sentences), gazetteer))) for c in (clean, noisy))
+    else:
+        spec = build_channel_spec(config.channel_kind, label_set, config.seed,
+                                  rho=config.channel_rho,
+                                  permutation=config.channel_permutation,
+                                  preset=config.channel_preset)
+        clean_z, noisy_z = (apply_channel(label_set.encode(c.flat_labels()), spec, stream=s)
+                            for c, s in ((clean, "clean-init"), (noisy, "noisy")))
+    clean_split = corpus_windows(clean, vocab, "clean", label_set, y_names=clean.flat_labels())
+    clean_split.z = clean_z
+    noisy_split = corpus_windows(noisy, vocab, "noisy", label_set, y_names=noisy.flat_labels())
+    noisy_split.z, noisy_split.eval_only_y, noisy_split.y = noisy_z, noisy_split.y, None
+    return clean_split, noisy_split
+
+
+TRAIN_WORDS = ["Paris", "paris", "John", "Smith", "Acme", "Corp", "the", "x"]
+TOY_GAZETTEER = Gazetteer([("Paris", "LOC"), ("John Smith", "PER"), ("Acme Corp", "ORG"),
+                           ("Acme", "ORG"), ("Smith", "PER")])
+
+
+class TestPrepareSelectsRows:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_clean_and_noisy_equal_the_sub_corpus_construction(self, data):
+        classes = LabelSet().classes
+        sentences = [Sentence(*map(list, zip(*tagged))) if tagged else Sentence([], [])
+                     for tagged in data.draw(st.lists(st.lists(st.tuples(
+                         st.sampled_from(TRAIN_WORDS), st.sampled_from(classes)),
+                         max_size=6), min_size=1, max_size=8))]
+        train = CorpusDocument(sentences)
+        total = train.token_count
+        if total == 0:
+            return
+        kind = data.draw(st.sampled_from(["uniform", "permutation", "empirical"]))
+        config = ExperimentConfig(
+            seed=data.draw(st.integers(0, 50)),
+            clean_budget=data.draw(st.integers(1, total)),
+            noisy_scope=data.draw(st.sampled_from(["rest", "all"])),
+            noisy_source=data.draw(st.sampled_from(["channel", "gazetteer"])),
+            channel_kind=kind,
+            channel_rho=data.draw(st.floats(0, 1)) if kind == "uniform" else 0.0,
+            channel_permutation="O,ORG,PER,MISC,LOC",
+            embedding_dim=3)
+        held_out = parse_conll("Paris LOC\nx O\n\nJohn PER\n")
+        prepared = prepare(config, train, held_out, held_out, gazetteer=TOY_GAZETTEER)
+        expected = sub_corpus_splits(config, train, TOY_GAZETTEER, prepared.vocab)
+        for got, want in zip((prepared.clean, prepared.noisy), expected):
+            for field in ("token_ids", "sentence_lengths", "y", "z", "eval_only_y"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert (a is None) == (b is None), field
+                if a is not None:
+                    assert a.dtype == b.dtype and a.shape == b.shape, field
+                    np.testing.assert_array_equal(a, b, err_msg=field)
 
 
 class TestExperimentConfig:
@@ -232,6 +312,16 @@ class TestExperimentConfig:
             else:  # the reader strips a value's surrounding spaces
                 strategy = text.map(str.strip)
             values[f.name] = data.draw(strategy, label=f.name)
+        # the keys that a channel's kind reads must describe a valid channel
+        kind = values["channel_kind"] if values["noisy_source"] == "channel" else None
+        if kind == "uniform":
+            values["channel_rho"] = data.draw(st.floats(0, 1), label="uniform channel_rho")
+        elif kind == "permutation":
+            values["labels"] = "O,PER,ORG,LOC,MISC"
+            values["channel_permutation"] = ",".join(data.draw(
+                st.permutations(LabelSet().classes), label="channel_permutation"))
+        elif kind == "empirical" and not values["channel_matrix_path"]:
+            values["channel_preset"] = "gazetteer-like"
         config = ExperimentConfig(**values)
         assert ExperimentConfig.from_text(config.to_text()) == config
 
@@ -277,8 +367,11 @@ class TestExperimentConfig:
                               "noise-cleaning-model",
                    "pooling": "final, center",
                    "channel_kind": "uniform, permutation, empirical"}[key]
-        for make in (lambda v: ExperimentConfig(**{key: v}),
-                     lambda v: ExperimentConfig.from_text(f"{key} = {v}\n")):
+        # the keys that the good value reads, set to valid values
+        reads = {"channel_kind": {"channel_permutation": "O,PER,ORG,LOC,MISC"}}.get(key, {})
+        text = "".join(f"{k} = {v}\n" for k, v in reads.items())
+        for make in (lambda v: ExperimentConfig(**reads, **{key: v}),
+                     lambda v: ExperimentConfig.from_text(f"{text}{key} = {v}\n")):
             with pytest.raises(ValueError) as err:
                 make(bad)
             assert key in str(err.value) and repr(bad) in str(err.value)
@@ -309,6 +402,52 @@ class TestExperimentConfig:
             with pytest.raises(ValueError) as err:
                 make()
             assert str(err.value) == f"{key} = {bad!r} must be {bound}"
+
+    @pytest.mark.parametrize("keys, message", [
+        ({"channel_preset": "gazeteer-like"},
+         "channel_preset = 'gazeteer-like' is not one of gazetteer-like, "
+         "and no channel_matrix_path is set"),
+        ({"channel_kind": "permutation", "channel_permutation": "O,PER,ORG,LOC,MISX"},
+         "channel_permutation = 'O,PER,ORG,LOC,MISX' must name each of "
+         "O, PER, ORG, LOC, MISC once"),
+        ({"channel_kind": "permutation", "channel_permutation": "O,PER,ORG,LOC"},
+         "channel_permutation = 'O,PER,ORG,LOC' must name each of "
+         "O, PER, ORG, LOC, MISC once"),
+        ({"channel_kind": "permutation", "channel_permutation": "O,PER,PER,LOC,MISC"},
+         "channel_permutation = 'O,PER,PER,LOC,MISC' must name each of "
+         "O, PER, ORG, LOC, MISC once"),
+        ({"channel_kind": "uniform", "channel_rho": 1.5},
+         "channel_rho = 1.5 must be in [0, 1]"),
+        ({"channel_kind": "uniform", "channel_rho": -0.1},
+         "channel_rho = -0.1 must be in [0, 1]"),
+    ], ids=["preset", "unknown-class", "missing-class", "repeated-class", "rho-above",
+            "rho-below"])
+    def test_bad_channel_key_rejected(self, keys, message):
+        text = "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for make in (lambda: ExperimentConfig(**keys),
+                     lambda: ExperimentConfig.from_text(text),
+                     lambda: dataclasses.replace(ExperimentConfig(), **keys)):
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("keys", [
+        # keys the chosen channel_kind does not read are not checked
+        {"channel_kind": "uniform", "channel_rho": 0.3, "channel_preset": "none"},
+        {"channel_kind": "permutation", "channel_permutation": "O, ORG,PER,LOC,MISC",
+         "channel_rho": 2.0},
+        {"channel_kind": "empirical", "channel_preset": "", "channel_matrix_path": "m.csv",
+         "channel_permutation": "x"},
+        {"channel_kind": "uniform", "channel_rho": 0.0},
+        {"channel_kind": "uniform", "channel_rho": 1.0},
+        # nor any channel key when labels come from a gazetteer
+        {"noisy_source": "gazetteer", "channel_preset": "", "channel_rho": 5.0},
+        {"noisy_source": "gazetteer", "channel_kind": "permutation"},
+    ], ids=["uniform", "permutation", "matrix-file", "rho-0", "rho-1", "gazetteer",
+            "gazetteer-permutation"])
+    def test_channel_keys_not_read_are_accepted(self, keys):
+        config = ExperimentConfig(**keys)
+        assert ExperimentConfig.from_text(config.to_text()) == config
 
     def test_range_edges_accepted(self):
         config = ExperimentConfig(pretrain_epochs=0, beta1=0.0, beta2=0.0,

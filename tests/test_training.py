@@ -417,6 +417,34 @@ class TestSweep:
             sweep(axis, values, "noise-model", *corpora, config)
         assert trials == []
 
+    @pytest.mark.parametrize("axis, values", [
+        ("clean-size", [100, 150, 200]),
+        ("noisy-factor", [0.5, 1.0, 1.5]),
+    ])
+    def test_one_prepared_dataset_alive_at_each_trial_run(self, corpora, monkeypatch,
+                                                          axis, values):
+        import gc
+        import weakref
+
+        import noisylab.training as training
+        made, alive_at_runs = [], []
+
+        def preparing(*args, **kwargs):
+            data = prepare(*args, **kwargs)
+            made.append(weakref.ref(data))
+            return data
+
+        def running(variant, data, config, **kwargs):
+            gc.collect()
+            alive_at_runs.append(sum(ref() is not None for ref in made))
+            return training.TrialsSummary(variant, 0.0, 0.0, 1, [])
+
+        monkeypatch.setattr(training, "prepare", preparing)
+        monkeypatch.setattr(training, "run_trials", running)
+        sweep(axis, values, "noise-model", *corpora, dataclasses.replace(TINY, n_seeds=1))
+        assert alive_at_runs == [1, 1, 1]
+        assert len(made) == (6 if axis == "clean-size" else 1)
+
     def test_unknown_axis_rejected(self, corpora):
         with pytest.raises(ValueError):
             sweep("depth", [1], "base-model", *corpora, TINY)
