@@ -151,4 +151,3 @@ def init_noise_weights(counts: ConfusionCounts, alpha=1.0) -> np.ndarray:
     k = counts.k
     totals = c.sum(axis=1, keepdims=True)
     return np.log((c + alpha) / (totals + k * alpha))
-
