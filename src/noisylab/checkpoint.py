@@ -29,12 +29,20 @@ def save_checkpoint(path, model_state, vocab, label_set, config, noise_b=None,
     atomic_write(path, lambda fh: np.savez(fh, **arrays), binary=True)
 
 
+def _check_shape(name, array, expected):
+    if array.shape != expected:
+        raise ValueError(f"{name} has shape {array.shape}, expected {expected}")
+    return array
+
+
 def load_checkpoint(path):
     """Returns (model, vocab, label_set, config, noise or None, extras).
 
-    A damaged archive, or one that lacks an array the model needs, is a
-    ValueError naming the file (and the missing array).  The config text
-    may also be a unicode string array, as older checkpoints store it.
+    A damaged archive, or one that lacks an array the model needs or holds
+    one of another shape than the config, the classes, the vocabulary and
+    the embedding width imply, is a ValueError naming the file (and the
+    array).  The config text may also be a unicode string array, as older
+    checkpoints store it.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -44,22 +52,26 @@ def load_checkpoint(path):
             vocab = Vocabulary([str(w) for w in data["vocab_words"]])
             label_set = LabelSet([str(c) for c in data["classes"]])
             state = {name: data[f"model_{name}"] for name in WindowClassifier.STATE}
-            noise = (NoiseMatrix(data["noise_b"], dtype=config.numpy_dtype)
-                     if "noise_b" in data.files else None)
+            noise = (NoiseMatrix(_check_shape("noise_b", data["noise_b"], (label_set.k,) * 2),
+                                 dtype=config.numpy_dtype) if "noise_b" in data.files else None)
             extras = {}
             if "selected_epoch" in data.files:
                 extras["selected_epoch"] = int(data["selected_epoch"])
             if "dev_f1_history" in data.files:
                 extras["dev_f1_history"] = data["dev_f1_history"].tolist()
+        embedding = state["embedding"]
+        _check_shape("model_embedding", embedding, (vocab.size, *embedding.shape[-1:]))
+        model = WindowClassifier(
+            embedding, k=label_set.k, hidden_size=config.hidden_size,
+            dense_size=config.dense_size, seed=config.seed,
+            trainable_embeddings=config.trainable_embeddings,
+            pooling=config.pooling, dtype=config.numpy_dtype,
+        )
+        for name, values in state.items():
+            _check_shape(f"model_{name}", values, getattr(model, name).values.shape)
     except KeyError as err:  # numpy's message names the missing array
         raise ValueError(f"{path}: {err.args[0]}") from None
     except (zipfile.BadZipFile, EOFError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from None
-    model = WindowClassifier(
-        state["embedding"], k=label_set.k, hidden_size=config.hidden_size,
-        dense_size=config.dense_size, seed=config.seed,
-        trainable_embeddings=config.trainable_embeddings,
-        pooling=config.pooling, dtype=config.numpy_dtype,
-    )
     model.load_state(state)
     return model, vocab, label_set, config, noise, extras

@@ -18,7 +18,7 @@ from . import evaluation, training
 from .autodiff import NonFiniteError
 from .config import ExperimentConfig
 from .conll import parse_conll, write_conll
-from .data import build_channel_spec, corpus_windows, prepare
+from .data import CHANNEL_CONFIG_KEYS, build_channel_spec, corpus_windows, prepare
 from .fileio import atomic_write_json, atomic_write_text, jsonl_line
 from .gazetteer import Gazetteer, annotate
 from .model import LabelSet
@@ -57,12 +57,13 @@ def cmd_annotate(args):
 
 def cmd_simulate_noise(args):
     label_set = _label_set(args.labels)
+    spec = build_channel_spec(args.kind, label_set, args.seed, rho=args.rho,
+                              permutation=args.permutation, preset=args.preset,
+                              matrix_path=args.matrix,
+                              keys={key: f"--{key}" for key in CHANNEL_CONFIG_KEYS})
     corpus = _parse(args.input, label_set)
     if not corpus.labeled:
         raise ValueError("input corpus must be labeled")
-    spec = build_channel_spec(args.kind, label_set, args.seed, rho=args.rho,
-                              permutation=args.permutation, preset=args.preset,
-                              matrix_path=args.matrix)
     flat = label_set.encode(corpus.flat_labels())
     corrupted = apply_channel(flat, spec)
     names = map(label_set.name, corrupted)

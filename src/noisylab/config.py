@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import POOLINGS, LabelSet
-from .noise import CHANNEL_KINDS, CHANNEL_PRESETS
+from .data import check_channel
+from .noise import CHANNEL_KINDS
 from .training import VARIANTS
 
 
@@ -41,7 +42,11 @@ RANGES = {
     "beta1": "in [0, 1)",
     "beta2": "in [0, 1)",
     "noisy_factor": ">= 0",
-    "alpha": ">= 0",
+    "alpha": "> 0",
+    "embedding_dim": "> 0",
+    "hidden_size": "> 0",
+    "dense_size": "> 0",
+    "cleaner_proj_size": "> 0",
 }
 
 
@@ -100,19 +105,10 @@ class ExperimentConfig:
                 raise ValueError(f"{key} = {value!r} must be {bound}")
         # only the keys that build the run's channel are checked, so a value
         # that nothing reads never stops a config from loading
-        kind = self.channel_kind if self.noisy_source == "channel" else None
-        if kind == "uniform" and not 0 <= self.channel_rho <= 1:
-            raise ValueError(f"channel_rho = {self.channel_rho!r} must be in [0, 1]")
-        if kind == "permutation":
-            classes = self.label_set().classes
-            names = [n.strip() for n in self.channel_permutation.split(",")]
-            if sorted(names) != sorted(classes):
-                raise ValueError(f"channel_permutation = {self.channel_permutation!r} "
-                                 f"must name each of {', '.join(classes)} once")
-        if (kind == "empirical" and not self.channel_matrix_path
-                and self.channel_preset not in CHANNEL_PRESETS):
-            raise ValueError(f"channel_preset = {self.channel_preset!r} is not one of "
-                             f"{', '.join(CHANNEL_PRESETS)}, and no channel_matrix_path is set")
+        if self.noisy_source == "channel":
+            check_channel(self.channel_kind, self.label_set, self.channel_rho,
+                          self.channel_permutation, self.channel_preset,
+                          self.channel_matrix_path)
 
     @property
     def numpy_dtype(self):

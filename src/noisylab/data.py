@@ -15,7 +15,7 @@ from .conll import CorpusDocument
 from .embeddings import build_vocab_words, load_embeddings, random_embeddings
 from .gazetteer import annotate
 from .model import LabelSet, token_windows
-from .noise import NoiseChannelSpec, apply_channel
+from .noise import CHANNEL_PRESETS, NoiseChannelSpec, apply_channel
 from .rng import substream
 
 
@@ -97,33 +97,53 @@ def corpus_windows(corpus: CorpusDocument, vocab, name, label_set=None, y_names=
     )
 
 
+CHANNEL_CONFIG_KEYS = {"rho": "channel_rho", "permutation": "channel_permutation",
+                       "preset": "channel_preset", "matrix": "channel_matrix_path"}
+
+
+def check_channel(kind, label_set, rho=0.0, permutation="", preset="", matrix_path="",
+                  keys=CHANNEL_CONFIG_KEYS):
+    """Check, reading no file, the settings that a channel of ``kind`` reads,
+    naming a bad one by its entry in ``keys``; return a permutation's class
+    indices.  Only that kind calls ``label_set``, which returns the LabelSet."""
+    if kind == "uniform" and not 0 <= rho <= 1:
+        raise ValueError(f"{keys['rho']} = {rho!r} must be in [0, 1]")
+    if kind == "permutation":
+        classes = label_set().classes
+        names = [n.strip() for n in permutation.split(",")]
+        if sorted(names) != sorted(classes):
+            raise ValueError(f"{keys['permutation']} = {permutation!r} "
+                             f"must name each of {', '.join(classes)} once")
+        return [classes.index(n) for n in names]
+    if kind == "empirical" and not matrix_path and preset not in CHANNEL_PRESETS:
+        raise ValueError(f"{keys['preset']} = {preset!r} is not one of "
+                         f"{', '.join(CHANNEL_PRESETS)}, and no {keys['matrix']} is set")
+
+
 def build_channel_spec(kind, label_set, seed, rho=0.0, permutation="", preset="",
-                       matrix_path="") -> NoiseChannelSpec:
-    """Channel of ``kind`` (one of ``noise.CHANNEL_KINDS``).  ``permutation``
-    is comma-separated class names; an empirical channel reads the matrix
-    CSV at ``matrix_path`` when one is given, whose classes must be
-    ``label_set``'s, in order, and otherwise takes the preset
-    "gazetteer-like"."""
+                       matrix_path="", keys=CHANNEL_CONFIG_KEYS) -> NoiseChannelSpec:
+    """Channel of ``kind`` (one of ``noise.CHANNEL_KINDS``), checked by
+    :func:`check_channel`.  ``permutation`` is comma-separated class names;
+    an empirical channel reads the matrix CSV at ``matrix_path`` when one is
+    given, whose classes must be ``label_set``'s, in order, and otherwise
+    takes ``noise.CHANNEL_PRESETS[preset]``."""
+    perm = check_channel(kind, lambda: label_set, rho, permutation, preset, matrix_path, keys)
     if kind == "uniform":
         return NoiseChannelSpec.uniform(rho, k=label_set.k, seed=seed)
     if kind == "permutation":
-        names = [n.strip() for n in permutation.split(",")]
-        perm = [label_set.index(n) for n in names]
         return NoiseChannelSpec.from_permutation(perm, seed=seed)
-    if matrix_path:
-        from .evaluation import parse_matrix_csv
-        try:
-            with open(matrix_path, encoding="utf-8") as fh:
-                classes, matrix = parse_matrix_csv(fh.read())
-            if tuple(classes) != label_set.classes:
-                raise ValueError(f"classes {classes} differ from the label set "
-                                 f"{list(label_set.classes)}")
-        except ValueError as err:
-            raise ValueError(f"{matrix_path}: {err}") from None
-        return NoiseChannelSpec.empirical(matrix, seed=seed)
-    if preset == "gazetteer-like":
-        return NoiseChannelSpec.gazetteer_like(seed=seed)
-    raise ValueError("empirical channel needs a preset or a matrix file")
+    if not matrix_path:
+        return NoiseChannelSpec(CHANNEL_PRESETS[preset], seed=seed)
+    from .evaluation import parse_matrix_csv
+    try:
+        with open(matrix_path, encoding="utf-8") as fh:
+            classes, matrix = parse_matrix_csv(fh.read())
+        if tuple(classes) != label_set.classes:
+            raise ValueError(f"classes {classes} differ from the label set "
+                             f"{list(label_set.classes)}")
+        return NoiseChannelSpec(matrix, seed=seed)
+    except ValueError as err:
+        raise ValueError(f"{matrix_path}: {err}") from None
 
 
 def prepare(config, train_corpus, dev_corpus, test_corpus, gazetteer=None) -> SplitDataset:

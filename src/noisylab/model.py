@@ -42,9 +42,6 @@ class LabelSet:
     def k(self):
         return len(self.classes)
 
-    def index(self, name):
-        return int(self.encode((name,))[0])
-
     def name(self, index):
         return self.classes[index]
 

@@ -2,7 +2,6 @@
 weight initialization."""
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -20,63 +19,42 @@ GAZETTEER_LIKE_MATRIX = np.array([
 ])
 
 CHANNEL_KINDS = ("uniform", "permutation", "empirical")
-CHANNEL_PRESETS = ("gazetteer-like",)  # empirical channels known by name
+CHANNEL_PRESETS = {"gazetteer-like": GAZETTEER_LIKE_MATRIX}  # empirical channels by name
 
 
 @dataclass
 class NoiseChannelSpec:
-    """How to corrupt a label sequence.
-
-    uniform: each label independently becomes a different class with
-    probability rho.  permutation: deterministic class substitution.
-    empirical: label i is resampled from row i of a row-stochastic matrix.
+    """How to corrupt a label sequence: label i is resampled from row i of
+    the row-stochastic k-by-k ``matrix``.  Uniform noise and class
+    permutations are particular matrices; an empirical channel is any.
     """
 
-    kind: str
-    rho: float = 0.0
-    permutation: Optional[np.ndarray] = None
-    matrix: Optional[np.ndarray] = None
+    matrix: np.ndarray
     seed: int = 0
-    k: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in CHANNEL_KINDS:
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.kind == "uniform":
-            if not 0.0 <= self.rho <= 1.0:
-                raise ValueError(f"rho={self.rho} outside [0, 1]")
-            if self.k is None:
-                raise ValueError("uniform channel needs the class count k")
-        if self.kind == "permutation":
-            perm = np.asarray(self.permutation, dtype=np.int64)
-            if perm.ndim != 1 or sorted(perm.tolist()) != list(range(perm.shape[0])):
-                raise ValueError("permutation must be a permutation of 0..k-1")
-            self.permutation = perm
-            self.k = perm.shape[0]
-        if self.kind == "empirical":
-            m = np.asarray(self.matrix, dtype=np.float64)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError("empirical channel matrix must be square")
-            if (m < 0).any() or np.abs(m.sum(axis=1) - 1.0).max() > 1e-9:
-                raise ValueError("empirical channel rows must be distributions")
-            self.matrix = m
-            self.k = m.shape[0]
+        m = np.array(self.matrix, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("channel matrix must be square")
+        if not ((m >= 0).all() and np.abs(m.sum(axis=1) - 1.0).max() <= 1e-9):
+            raise ValueError("channel matrix rows must be distributions")
+        self.matrix = m
 
     @classmethod
     def uniform(cls, rho, k, seed=0):
-        return cls(kind="uniform", rho=rho, k=k, seed=seed)
+        """A label keeps its class with probability 1 - rho, else takes another uniformly."""
+        m = np.full((k, k), rho / (k - 1))
+        np.fill_diagonal(m, 1.0 - rho)
+        return cls(m, seed=seed)
 
     @classmethod
     def from_permutation(cls, permutation, seed=0):
-        return cls(kind="permutation", permutation=permutation, seed=seed)
-
-    @classmethod
-    def empirical(cls, matrix, seed=0):
-        return cls(kind="empirical", matrix=matrix, seed=seed)
+        """Label i always becomes ``permutation[i]``."""
+        return cls(np.eye(len(permutation))[permutation], seed=seed)
 
     @classmethod
     def gazetteer_like(cls, seed=0):
-        return cls.empirical(GAZETTEER_LIKE_MATRIX.copy(), seed=seed)
+        return cls(GAZETTEER_LIKE_MATRIX, seed=seed)
 
 
 def apply_channel(labels, spec: NoiseChannelSpec, stream="main") -> np.ndarray:
@@ -86,24 +64,18 @@ def apply_channel(labels, spec: NoiseChannelSpec, stream="main") -> np.ndarray:
     the big noisy set and one for the clean subset's noisy twins.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    k = spec.k
+    k = spec.matrix.shape[0]
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"label out of range for {k} classes")
-    rng = substream(spec.seed, "channel", spec.kind, stream)
+    # the stream name is part of every seeded draw; "empirical" keeps the
+    # labels that preset, matrix-file and permutation channels draw
+    rng = substream(spec.seed, "channel", "empirical", stream)
     out = labels.copy()
-    if spec.kind == "uniform":
-        if spec.rho > 0.0 and labels.size:
-            flip = rng.random(labels.shape[0]) < spec.rho
-            offsets = rng.integers(1, k, size=labels.shape[0])
-            out[flip] = (labels[flip] + offsets[flip]) % k
-    elif spec.kind == "permutation":
-        out = spec.permutation[labels]
-    else:
-        for i in range(k):
-            mask = labels == i
-            count = int(mask.sum())
-            if count:
-                out[mask] = rng.choice(k, size=count, p=spec.matrix[i])
+    for i in range(k):
+        mask = labels == i
+        count = int(mask.sum())
+        if count:
+            out[mask] = rng.choice(k, size=count, p=spec.matrix[i])
     return out
 
 

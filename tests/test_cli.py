@@ -132,6 +132,24 @@ class TestSimulateNoise:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--preset", "gazeteer-like"],
+         "--preset = 'gazeteer-like' is not one of gazetteer-like, and no --matrix is set"),
+        (["--kind", "uniform", "--rho", "1.5"], "--rho = 1.5 must be in [0, 1]"),
+        (["--kind", "permutation", "--permutation", "O,PER,ORG,LOC,MISX"],
+         "--permutation = 'O,PER,ORG,LOC,MISX' must name each of "
+         "O, PER, ORG, LOC, MISC once"),
+    ], ids=["preset", "rho", "permutation"])
+    def test_bad_channel_flag_exits_2_naming_it(self, toy_dir, tmp_path, capsys, flags,
+                                                message):
+        out = tmp_path / "noisy.conll"
+        code = main(["simulate-noise", "--input", str(toy_dir / "train.conll"),
+                     "--output", str(out), *flags])
+        assert code == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestInitTheta:
     def test_weights_from_aligned_files(self, toy_dir, tmp_path):
         noisy = tmp_path / "noisy.conll"
@@ -315,6 +333,25 @@ class TestConfigRejected:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("hidden_size = 12", "hidden_size = 0", "hidden_size = 0 must be > 0"),
+        ("cleaner_proj_size = 4", "cleaner_proj_size = -1",
+         "cleaner_proj_size = -1 must be > 0"),
+        ("alpha = 1.0", "alpha = 0.0", "alpha = 0.0 must be > 0"),
+    ], ids=["hidden_size", "cleaner_proj_size", "alpha"])
+    def test_bad_size_or_alpha_exits_2_naming_it(self, tiny_config_text, tmp_path, capsys,
+                                                 old, new, message):
+        assert f"\n{old}\n" in tiny_config_text
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(tiny_config_text.replace(f"\n{old}\n", f"\n{new}\n"),
+                       encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_noisy_factor_beyond_the_pool_stops_before_training(
             self, tiny_config_text, tmp_path, capsys, monkeypatch):
         from noisylab import training
@@ -347,6 +384,24 @@ class TestBadInputFilesExit2:
         err = capsys.readouterr().err
         assert f"error: {damaged}: File is not a zip file" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, array, values, message", [
+        ("evaluate", "model_out_b", np.zeros(1), "model_out_b has shape (1,), expected (5,)"),
+        ("report", "noise_b", np.zeros((3, 3)), "noise_b has shape (3, 3), expected (5, 5)"),
+    ], ids=["evaluate-out_b", "report-noise_b"])
+    def test_checkpoint_array_of_the_wrong_shape(self, run_dir, toy_dir, tmp_path, capsys,
+                                                 command, array, values, message):
+        damaged = tmp_path / "checkpoint.npz"
+        with np.load(run_dir / "checkpoint.npz") as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays[array] = values
+        np.savez(damaged, **arrays)
+        argv = [command, "--checkpoint", str(damaged), "--out", str(tmp_path / "out")]
+        if command == "evaluate":
+            argv += ["--test", str(toy_dir / "test.conll")]
+        assert main(argv) == 2
+        assert f"error: {damaged}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, message", [
         # the config's embedding_dim is 12

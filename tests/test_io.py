@@ -393,7 +393,12 @@ class TestExperimentConfig:
         ("beta1", 1.0, "in [0, 1)"),
         ("beta2", -0.5, "in [0, 1)"),
         ("noisy_factor", -1.0, ">= 0"),
-        ("alpha", -0.1, ">= 0"),
+        ("alpha", -0.1, "> 0"),
+        ("alpha", 0.0, "> 0"),
+        ("embedding_dim", 0, "> 0"),
+        ("hidden_size", 0, "> 0"),
+        ("dense_size", -3, "> 0"),
+        ("cleaner_proj_size", 0, "> 0"),
     ])
     def test_out_of_range_value_rejected(self, key, bad, bound):
         for make in (lambda: ExperimentConfig(**{key: bad}),
@@ -451,8 +456,10 @@ class TestExperimentConfig:
 
     def test_range_edges_accepted(self):
         config = ExperimentConfig(pretrain_epochs=0, beta1=0.0, beta2=0.0,
-                                  noisy_factor=0.0, alpha=0.0, epochs=1, batch_size=1,
-                                  eval_batch_size=1, n_seeds=1, clean_budget=1)
+                                  noisy_factor=0.0, alpha=1e-12, epochs=1, batch_size=1,
+                                  eval_batch_size=1, n_seeds=1, clean_budget=1,
+                                  embedding_dim=1, hidden_size=1, dense_size=1,
+                                  cleaner_proj_size=1)
         assert ExperimentConfig.from_text(config.to_text()) == config
 
 
@@ -571,6 +578,30 @@ class TestCheckpointSave:
         for name, values in model.state_dict().items():
             np.testing.assert_array_equal(loaded.state_dict()[name], values)
         assert extras == {"selected_epoch": 2, "dev_f1_history": [0.1, 0.3, 0.5]}
+
+    @pytest.mark.parametrize("array, values, message", [
+        ("model_out_b", np.zeros(1), "model_out_b has shape (1,), expected (5,)"),
+        ("model_out_w", np.zeros((3, 1)), "model_out_w has shape (3, 1), expected (3, 5)"),
+        ("noise_b", np.eye(3), "noise_b has shape (3, 3), expected (5, 5)"),
+        ("model_embedding", np.zeros((10, 5)),
+         "model_embedding has shape (10, 5), expected (4, 5)"),
+        ("model_embedding", np.zeros(4), "model_embedding has shape (4,), expected (4, 4)"),
+        ("model_fw_rec", np.zeros((4, 12)), "model_fw_rec has shape (4, 12), expected (4, 16)"),
+    ], ids=["out_b", "out_w", "noise_b", "embedding-rows", "embedding-1d", "fw_rec"])
+    def test_array_of_the_wrong_shape_is_a_value_error_naming_it(self, tmp_path, array,
+                                                                  values, message):
+        from noisylab.checkpoint import load_checkpoint
+
+        path = tmp_path / "checkpoint.npz"
+        self._save(path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        assert arrays[array].shape != values.shape
+        arrays[array] = values
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("dropped", ["config_text", "model_fw_rec"])
     def test_missing_array_is_a_value_error_naming_it(self, tmp_path, dropped):
