@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import kernels
+from . import kernels, parallel
 
 DEFAULT_DTYPE = np.float64
 
@@ -336,17 +336,21 @@ def embedding_lookup(table, ids):
     return _node("embedding_lookup", table.values[ids], (table,), _back)
 
 
+def _check_lstm(op, x, w_in, w_rec, bias):
+    if x.ndim != 3 or x.shape[2] != w_in.shape[0]:
+        raise ShapeMismatch(f"{op}: input {x.shape} with w_in {w_in.shape}")
+    if w_in.shape[1] != 4 * w_rec.shape[0] or w_rec.shape[1] != w_in.shape[1]:
+        raise ShapeMismatch(f"{op}: w_in {w_in.shape} with w_rec {w_rec.shape}")
+    if bias.ndim != 1 or bias.shape[0] != w_in.shape[1]:
+        raise ShapeMismatch(f"{op}: bias {bias.shape} with w_in {w_in.shape}")
+
+
 def lstm_sequence(x, w_in, w_rec, bias):
     """Fused LSTM scan over x (B, T, E), left to right, returning all hidden
     states (B, T, H).  The heavy lifting happens in :mod:`noisylab.kernels`.
     """
     x, w_in, w_rec, bias = map(_as_tensor, (x, w_in, w_rec, bias))
-    if x.values.ndim != 3 or x.shape[2] != w_in.shape[0]:
-        raise ShapeMismatch(f"lstm_sequence: input {x.shape} with w_in {w_in.shape}")
-    if w_in.shape[1] != 4 * w_rec.shape[0] or w_rec.shape[1] != w_in.shape[1]:
-        raise ShapeMismatch(f"lstm_sequence: w_in {w_in.shape} with w_rec {w_rec.shape}")
-    if bias.values.ndim != 1 or bias.shape[0] != w_in.shape[1]:
-        raise ShapeMismatch(f"lstm_sequence: bias {bias.shape} with w_in {w_in.shape}")
+    _check_lstm("lstm_sequence", x.values, w_in.values, w_rec.values, bias.values)
     xv = np.ascontiguousarray(x.values)
     h_all, c_all, tc_all, gates = kernels.lstm_forward(
         xv, w_in.values, w_rec.values, bias.values
@@ -359,6 +363,56 @@ def lstm_sequence(x, w_in, w_rec, bias):
         )
 
     return _node("lstm", np.ascontiguousarray(h_all), (x, w_in, w_rec, bias), _back)
+
+
+def bilstm_last(table, scans, directions):
+    """Last hidden states of two LSTM scans, concatenated: (B, 2H).
+
+    Scan i reads the rows ``table[scans[i]]`` ((B, T) ids) left to right
+    with ``directions[i]`` = (w_in, w_rec, bias).  The value and every
+    gradient equal, bit for bit, those of ``concat`` over the two
+    ``take_time(lstm_sequence(embedding_lookup(table, ids), ...), T - 1)``.
+    As one op, its forward and its backward pass can run the two scans,
+    independent until here, at once: the second on the worker thread where
+    :func:`noisylab.parallel.concurrent` allows it for B x 4H.
+    """
+    table = _as_tensor(table)
+    weights = [tuple(map(_as_tensor, w)) for w in directions]
+    ids = [np.asarray(s, dtype=np.int64) for s in scans]
+    if len(ids) != 2 or ids[0].ndim != 2 or ids[0].shape != ids[1].shape:
+        raise ShapeMismatch(f"bilstm_last: scans of shapes {[s.shape for s in ids]}")
+    xs = [table.values[s] for s in ids]
+    for x, (w_in, w_rec, bias) in zip(xs, weights):
+        _check_lstm("bilstm_last", x, w_in.values, w_rec.values, bias.values)
+    B, T, E = xs[0].shape
+    H = weights[0][1].shape[0]
+    at_once = parallel.concurrent(B, 4 * H)
+    # the second scan's kernels when it runs on the worker
+    fwd = kernels._lstm_forward if at_once else kernels.lstm_forward
+    bwd = kernels._lstm_backward if at_once else kernels.lstm_backward
+    caches = parallel.both(
+        lambda: kernels.lstm_forward(xs[0], *(w.values for w in weights[0])),
+        lambda: fwd(xs[1], *(w.values for w in weights[1])), at_once)
+
+    def _back(g):
+        def direction(i, kernel):
+            (w_in, w_rec, _), x = weights[i], xs[i]
+            dh_all = np.zeros((B, T, H), x.dtype)
+            dh_all[:, -1] = g[:, i * H:(i + 1) * H]
+            dx, *dw = kernel(x, w_in.values, w_rec.values, *caches[i], dh_all,
+                             table.requires_grad)
+            dt = None
+            if dx is not None:
+                dt = np.zeros_like(table.values)
+                np.add.at(dt, ids[i].reshape(-1), dx.reshape(-1, E))
+            return dt, dw
+
+        (dt0, dw0), (dt1, dw1) = parallel.both(
+            lambda: direction(0, kernels.lstm_backward), lambda: direction(1, bwd), at_once)
+        return (None if dt0 is None else dt0 + dt1, *dw0, *dw1)
+
+    out = np.concatenate([h_all[:, -1] for h_all, *_ in caches], axis=1)
+    return _node("bilstm_last", out, (table, *weights[0], *weights[1]), _back)
 
 
 def cross_entropy(predicted, targets):

@@ -16,12 +16,11 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import evaluation, training
 from .autodiff import NonFiniteError
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_range, parse_labels
 from .conll import parse_conll, write_conll
 from .data import CHANNEL_CONFIG_KEYS, build_channel_spec, corpus_windows, prepare
 from .fileio import atomic_write_json, atomic_write_text, jsonl_line
 from .gazetteer import Gazetteer, annotate
-from .model import LabelSet
 from .noise import CHANNEL_KINDS, apply_channel, estimate_confusion, init_noise_weights
 from .toydata import gazetteer_file_text, generate_splits, toy_gazetteer_pairs
 
@@ -39,7 +38,7 @@ def _parse(path, label_set=None):
 
 
 def _label_set(arg):
-    return LabelSet([n.strip() for n in arg.split(",")])
+    return parse_labels(arg, "--labels")
 
 
 def cmd_annotate(args):
@@ -76,6 +75,7 @@ def cmd_simulate_noise(args):
 
 
 def cmd_init_theta(args):
+    check_range("alpha", args.alpha, "--alpha")
     label_set = _label_set(args.labels)
     clean = _parse(args.clean, label_set)
     noisy = _parse(args.noisy, label_set)

@@ -50,6 +50,23 @@ RANGES = {
 }
 
 
+def check_range(key, value, name=None):
+    """Raise unless ``value`` meets ``key``'s rule in RANGES; the message
+    names ``name`` (a CLI flag, say), by default the key."""
+    bound = RANGES[key]
+    if not BOUNDS[bound](value):
+        raise ValueError(f"{name or key} = {value!r} must be {bound}")
+
+
+def parse_labels(text, name="labels"):
+    """The LabelSet of the comma-separated class names ``text``; an error
+    names ``name`` (the key or a CLI flag) and the text."""
+    try:
+        return LabelSet([n.strip() for n in text.split(",")])
+    except ValueError as err:
+        raise ValueError(f"{name} = {text!r}: {err}") from None
+
+
 @dataclass
 class ExperimentConfig:
     # run identity
@@ -99,10 +116,8 @@ class ExperimentConfig:
             if value not in allowed:
                 raise ValueError(
                     f"{key} = {value!r} is not one of {', '.join(allowed)}")
-        for key, bound in RANGES.items():
-            value = getattr(self, key)
-            if not BOUNDS[bound](value):
-                raise ValueError(f"{key} = {value!r} must be {bound}")
+        for key in RANGES:
+            check_range(key, getattr(self, key))
         # only the keys that build the run's channel are checked, so a value
         # that nothing reads never stops a config from loading
         if self.noisy_source == "channel":
@@ -116,7 +131,7 @@ class ExperimentConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
     def label_set(self):
-        return LabelSet([n.strip() for n in self.labels.split(",")])
+        return parse_labels(self.labels)
 
     def to_text(self):
         lines = ["# noisylab experiment configuration"]

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import kernels
+from . import kernels, parallel
 from .autodiff import Tensor
 from .rng import substream
 
@@ -159,13 +159,14 @@ class WindowClassifier(_Network):
         """BiLSTM window representation as a Tensor of shape (B, 2H).
 
         Each direction scans its ids (the backward one the window reversed)
-        for ``steps`` tokens and reads its last state.  Under
-        ``autodiff.no_grad`` nothing will be differentiated, so the scan is
-        the cache-free prediction one, which evaluates each distinct token
-        and window prefix once.  Its prefix plans come from ``plans``, a
-        dict that a caller scoring the same ids again keeps for them: the
-        plans of this model's step count are read from it, or built and
-        stored in it.  Without one they are built for this call.
+        for ``steps`` tokens and reads its last state; the two scans run at
+        once where :func:`noisylab.parallel.concurrent` allows it for
+        B x 4H.  Under ``autodiff.no_grad`` nothing will be differentiated,
+        so the scan is the cache-free prediction one, which evaluates each
+        distinct token and window prefix once.  Its prefix plans come from
+        ``plans``, a dict that a caller scoring the same ids again keeps for
+        them: the plans of this model's step count are read from it, or
+        built and stored in it.  Without one they are built for this call.
         """
         ids = np.atleast_2d(token_ids)
         steps = self.steps
@@ -173,18 +174,19 @@ class WindowClassifier(_Network):
         directions = ((self.fw_in, self.fw_rec, self.fw_bias),
                       (self.bw_in, self.bw_rec, self.bw_bias))
         if ad.is_grad_enabled():
-            states = [ad.take_time(ad.lstm_sequence(
-                ad.embedding_lookup(self.embedding, scan[:, :steps]), *weights), steps - 1)
-                for scan, weights in zip(scans, directions)]
-        else:
-            if plans is None:
-                plans = {}
-            if steps not in plans:
-                plans[steps] = [kernels.prefix_plan(scan, steps) for scan in scans]
-            states = [Tensor(kernels.lstm_last_hidden(
-                self.embedding.values, plan, *(w.values for w in weights)))
-                for plan, weights in zip(plans[steps], directions)]
-        return ad.concat(states, axis=1)
+            return ad.bilstm_last(self.embedding, [scan[:, :steps] for scan in scans],
+                                  directions)
+        if plans is None:
+            plans = {}
+        if steps not in plans:
+            plans[steps] = [kernels.prefix_plan(scan, steps) for scan in scans]
+        fw, bw = ((plan, *(w.values for w in weights))
+                  for plan, weights in zip(plans[steps], directions))
+        table = self.embedding.values
+        states = parallel.both(lambda: kernels.lstm_last_hidden(table, *fw),
+                               lambda: kernels.lstm_last_hidden(table, *bw),
+                               parallel.concurrent(ids.shape[0], 4 * self.hidden_size))
+        return Tensor(np.concatenate(states, axis=1))
 
     def probs(self, token_ids, plans=None):
         """Class distributions as a Tensor of shape (B, k); ``plans`` as

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from . import parallel
 from .autodiff import DEFAULT_DTYPE, NonFiniteError
 
 # Elements per block of the update.  One block of the values, gradients,
@@ -71,7 +72,8 @@ class Adam:
         self.step_count = 0
         self._m = np.zeros_like(self.pack.values)
         self._v = np.zeros_like(self.pack.values)
-        self._scratch = np.empty(min(BLOCK, self._m.size), dtype=self._m.dtype)
+        # one row per worker (see step)
+        self._scratch = np.empty((2, min(BLOCK, self._m.size)), dtype=self._m.dtype)
 
     def reset(self):
         """Zero both moments and the step count, so that the next step is
@@ -85,11 +87,12 @@ class Adam:
 
         Each element goes through the textbook operations in the textbook
         order, so the result is bit-identical to the plain formula.  The
-        gradients are checked before anything is written; each block's
-        gradient serves as scratch and is zeroed at the end of its block.
+        gradients are checked before anything is written.  The store's two
+        halves, split at a block boundary, are updated at once where
+        :func:`noisylab.parallel.concurrent` allows it for the smaller half.
         """
         t = self.step_count + 1
-        values, grads = self.pack.values, self.pack.grads
+        grads = self.pack.grads
         # a sum is finite only if every term is; a sum of finite terms can
         # also overflow, so the exact check runs only when the sum is not finite
         with np.errstate(over="ignore", invalid="ignore"):
@@ -101,10 +104,22 @@ class Adam:
                 raise NonFiniteError(
                     f"Adam: non-finite gradient in parameter {i} of shape "
                     f"{self.params[i].shape} at step {t}")
-        for start in range(0, grads.size, BLOCK):
-            block = slice(start, start + BLOCK)
+        blocks = -(-grads.size // BLOCK)
+        half = min(grads.size, -(-blocks // 2) * BLOCK)
+        parallel.both(lambda: self._update(0, half, t, self._scratch[0]),
+                      lambda: self._update(half, grads.size, t, self._scratch[1]),
+                      parallel.concurrent(grads.size - half, 1))
+        self.step_count = t
+
+    def _update(self, start, stop, t, scratch):
+        """Step ``t``'s update of the store's elements start:stop, block by
+        block, with ``scratch`` as the block's scratch; each block's
+        gradient also serves as scratch and is zeroed at the end of it."""
+        values, grads = self.pack.values, self.pack.grads
+        for begin in range(start, stop, BLOCK):
+            block = slice(begin, min(begin + BLOCK, stop))
             p, g, m, v = values[block], grads[block], self._m[block], self._v[block]
-            tmp = self._scratch[:g.size]
+            tmp = scratch[:g.size]
             np.multiply(1.0 - self.beta1, g, out=tmp)
             m *= self.beta1
             m += tmp
@@ -121,4 +136,3 @@ class Adam:
             tmp /= g
             p -= tmp
             g.fill(0.0)
-        self.step_count = t

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import parallel
 from .autodiff import NonFiniteError, Tensor, absolute_error, cross_entropy, no_grad
 from .data import SplitDataset, prepare
 from .evaluation import PRFReport, entity_prf
@@ -165,8 +166,9 @@ def _clean_noisy_labels(model, cleaner, noisy_split, indices, k, eval_batch):
     ids, z = noisy_split.take(indices, "z")
     dtype = cleaner.proj_w.values.dtype
     cleaned = np.empty(ids.shape[0], dtype=np.int64)
-    for start in range(0, ids.shape[0], eval_batch):
-        sl = slice(start, start + eval_batch)
+    chunk = _chunk_rows(model, eval_batch)
+    for start in range(0, ids.shape[0], chunk):
+        sl = slice(start, start + chunk)
         with no_grad():
             vec = cleaner.forward(model.features(ids[sl]),
                                   one_hot(z[sl], k, dtype=dtype)).values
@@ -178,14 +180,25 @@ def _clean_noisy_labels(model, cleaner, noisy_split, indices, k, eval_batch):
     return ids, cleaned
 
 
+def _chunk_rows(model, eval_batch):
+    """Rows per prediction call: half of ``eval_batch`` where the two scans
+    of a call that large may run at once, so that at most ``eval_batch``
+    rows are scanned at a time."""
+    if parallel.concurrent(eval_batch, 4 * model.hidden_size):
+        return max(eval_batch // 2, 1)
+    return eval_batch
+
+
+@parallel.one_blas_thread()
 def predict_split(model, split, eval_batch, kept=None):
     """Predicted class of every window of ``split``; counts as one read.
 
     Each distinct window is predicted once, in chunks of ``eval_batch``
-    rows, and its prediction is scattered back to every place it occurs.
-    ``kept``, a dict that a caller predicting the split again passes each
-    time, holds the distinct rows and each chunk's prefix plans after the
-    first call; without one they are worked out for this call.
+    rows (see :func:`_chunk_rows`), and its prediction is scattered back to
+    every place it occurs.  ``kept``, a dict that a caller predicting the
+    split again passes each time, holds the distinct rows and each chunk's
+    prefix plans after the first call; without one they are worked out for
+    this call.  BLAS runs on one thread (:mod:`noisylab.parallel`).
     """
     kept = {} if kept is None else kept
     ids, _ = split.take(slice(None))
@@ -194,8 +207,9 @@ def predict_split(model, split, eval_batch, kept=None):
         kept["distinct"] = rows, inverse.reshape(-1)
     rows, inverse = kept["distinct"]
     preds = np.empty(rows.shape[0], dtype=np.int64)
-    for start in range(0, rows.shape[0], eval_batch):
-        stop = start + eval_batch
+    chunk = _chunk_rows(model, eval_batch)
+    for start in range(0, rows.shape[0], chunk):
+        stop = start + chunk
         preds[start:stop] = model.predict(rows[start:stop], kept.setdefault((start, stop), {}))
     return preds[inverse]
 
@@ -258,10 +272,13 @@ def noisy_subsample_size(variant, data, config):
     return size
 
 
+@parallel.one_blas_thread()
 def train_variant(variant, data: SplitDataset, config, trial_seed,
                   metrics_sink=None):
     """Run one seeded trial of a variant; selects the best epoch by dev F1
-    (earliest epoch wins ties) and reports test scores from that epoch."""
+    (earliest epoch wins ties) and reports test scores from that epoch.
+    BLAS runs on one thread (:mod:`noisylab.parallel`), so the numbers do
+    not depend on the machine's core count."""
     phases, init = _variant(variant)
     subsample_size = noisy_subsample_size(variant, data, config)
     k = data.k

@@ -143,6 +143,12 @@ def test_c1_gradient_integrity():
     worst["lstm"] = gradient_check(
         lambda: weighted(ad.lstm_sequence(seq, w_in, w_rec, bias), 13),
         [seq, w_in, w_rec, bias])
+    bw = tuple(Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True)
+               for shape in ((3, 8), (2, 8), (8,)))
+    worst["bilstm-last"] = gradient_check(
+        lambda: weighted(ad.bilstm_last(table, [ids, ids[:, ::-1]], [(w_in, w_rec, bias), bw]),
+                         14),
+        [table, w_in, w_rec, bias, *bw])
 
     model, win_ids, targets = _tiny_gradient_model(11)
     worst["window-classifier"] = gradient_check(

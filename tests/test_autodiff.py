@@ -243,6 +243,9 @@ class TestNoGrad:
         "take_per_row": lambda t: ad.take_per_row(t.a, np.array([0, 2, 1])),
         "take_time": lambda t: ad.take_time(t.seq, 1),
         "lstm": lambda t: ad.lstm_sequence(t.seq, t.w_in, t.w_rec, t.bias),
+        "bilstm_last": lambda t: ad.bilstm_last(
+            t.a, [np.array([[0, 2], [1, 1]]), np.array([[2, 0], [1, 1]])],
+            [(t.w_in, t.w_rec, t.bias)] * 2),
         "cross_entropy": lambda t: cross_entropy(ad.softmax(t.a), np.array([0, 1, 3])),
         "cross_entropy_one_row": lambda t: cross_entropy(ad.softmax(t.row), [1]),
     }

@@ -165,6 +165,44 @@ class TestInitTheta:
         assert b.shape == (5, 5)
         assert np.isfinite(b).all()
 
+    @pytest.mark.parametrize("alpha", ["0", "-0.5"])
+    def test_alpha_not_positive_exits_2_naming_the_flag(self, toy_dir, tmp_path, capsys,
+                                                        alpha):
+        out = tmp_path / "b.csv"
+        code = main(["init-theta", "--clean", str(toy_dir / "train.conll"),
+                     "--noisy", str(toy_dir / "train.conll"), "--alpha", alpha,
+                     "--output", str(out)])
+        assert code == 2
+        assert f"error: --alpha = {float(alpha)!r} must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestLabelsRejected:
+    @pytest.mark.parametrize("command", ["annotate", "simulate-noise", "init-theta"])
+    def test_labels_flag_without_o_exits_2_naming_it(self, toy_dir, tmp_path, capsys,
+                                                     command):
+        train = str(toy_dir / "train.conll")
+        inputs = {"annotate": ["--input", train, "--gazetteer", str(toy_dir / "gazetteer.tsv")],
+                  "simulate-noise": ["--input", train],
+                  "init-theta": ["--clean", train, "--noisy", train]}[command]
+        out = tmp_path / "out"
+        code = main([command, *inputs, "--labels", "A,B", "--output", str(out)])
+        assert code == 2
+        assert ("error: --labels = 'A,B': LabelSet must contain the null class O"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_labels_key_without_o_exits_2_naming_it(self, tiny_config_text, tmp_path, capsys):
+        old = "\nlabels = O,PER,ORG,LOC,MISC\n"
+        assert old in tiny_config_text
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(tiny_config_text.replace(old, "\nlabels = A,B\n"), encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert ("error: labels = 'A,B': LabelSet must contain the null class O"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
 
 @pytest.fixture(scope="module")
 def run_dir(toy_dir, tiny_config_text, tmp_path_factory):

@@ -464,6 +464,8 @@ class TestEvaluateSplit:
         assert len(gold_of) < len(split), "fixture needs repeated windows"
 
         class Oracle:
+            hidden_size = 1  # predict_split sizes its chunks by the model's width
+
             def predict(self, ids, plans=None):
                 return np.array([gold_of[window.tobytes()] for window in ids])
 
