@@ -15,8 +15,9 @@ table.  It is timed over the whole window ("final" pooling, 7 steps) and
 up to the middle token ("center" pooling, 4 steps), both in the forward
 direction, in two columns each: building the prefix plan of those ids
 (``kernels.prefix_plan``, which ``training.predict_split`` does once per
-trial for dev, and once per prediction for any other split) and the scan
-over the prebuilt plan (the per-epoch work).  The distinct-token and distinct-prefix counts of that split
+trial for dev, and once per prediction for any other split) and the
+projection of its distinct tokens plus the scan over the prebuilt plan (the
+per-epoch work).  The distinct-token and distinct-prefix counts of that split
 are printed first.  The backward is timed on caches computed once.  Each
 figure is the median of REPEATS calls with its quartiles in brackets, in
 ms: with several BLAS threads on few cores single calls can stall, which
@@ -103,6 +104,13 @@ def report_sharing(rows, n_windows):
           f"within its {len(chunks)} chunks of {EVAL_BATCH}")
 
 
+def predict(table, plan, w_in, w_rec, bias):
+    """The prediction scan of a one-chunk plan, from the projection of its
+    distinct tokens."""
+    proj = kernels.project(table.take(plan.tokens, axis=0), w_in, bias)
+    return kernels.lstm_last_hidden(proj, plan.chunks[0], w_rec)
+
+
 def time_ms(fn):
     """'median [q1, q3]' of REPEATS calls of fn, in ms."""
     fn()  # warmup
@@ -173,7 +181,7 @@ def main():
             plan = kernels.prefix_plan(ids, steps)
             figures += (
                 time_ms(lambda: kernels.prefix_plan(ids, steps)),
-                time_ms(lambda: kernels.lstm_last_hidden(table, plan, w_in, w_rec, bias)),
+                time_ms(lambda: predict(table, plan, w_in, w_rec, bias)),
             )
         print(f"{str(size):>20} " + " ".join(f"{f:>26}" for f in figures))
     print()

@@ -58,7 +58,8 @@ def products(b, t, e, h, dense, rows):
     return {
         "lstm_forward": caches,
         "lstm_backward": kernels.lstm_backward(x, w_in, w_rec, *caches, dh_all, True),
-        "lstm_last_hidden": (kernels.lstm_last_hidden(table, plan, w_in, w_rec, bias),),
+        "lstm_last_hidden": (kernels.lstm_last_hidden(
+            kernels.project(table.take(plan.tokens, axis=0), w_in, bias), plan.chunks[0], w_rec),),
         "dense_forward": (feats @ dense_w,),
         "dense_backward": (g @ dense_w.T, feats.T @ g),
     }

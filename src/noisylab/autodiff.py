@@ -336,9 +336,9 @@ def embedding_lookup(table, ids):
     return _node("embedding_lookup", table.values[ids], (table,), _back)
 
 
-def _check_lstm(op, x, w_in, w_rec, bias):
-    if x.ndim != 3 or x.shape[2] != w_in.shape[0]:
-        raise ShapeMismatch(f"{op}: input {x.shape} with w_in {w_in.shape}")
+def _check_lstm(op, x_shape, w_in, w_rec, bias):
+    if len(x_shape) != 3 or x_shape[2] != w_in.shape[0]:
+        raise ShapeMismatch(f"{op}: input {x_shape} with w_in {w_in.shape}")
     if w_in.shape[1] != 4 * w_rec.shape[0] or w_rec.shape[1] != w_in.shape[1]:
         raise ShapeMismatch(f"{op}: w_in {w_in.shape} with w_rec {w_rec.shape}")
     if bias.ndim != 1 or bias.shape[0] != w_in.shape[1]:
@@ -350,7 +350,7 @@ def lstm_sequence(x, w_in, w_rec, bias):
     states (B, T, H).  The heavy lifting happens in :mod:`noisylab.kernels`.
     """
     x, w_in, w_rec, bias = map(_as_tensor, (x, w_in, w_rec, bias))
-    _check_lstm("lstm_sequence", x.values, w_in.values, w_rec.values, bias.values)
+    _check_lstm("lstm_sequence", x.values.shape, w_in.values, w_rec.values, bias.values)
     xv = np.ascontiguousarray(x.values)
     h_all, c_all, tc_all, gates = kernels.lstm_forward(
         xv, w_in.values, w_rec.values, bias.values
@@ -372,35 +372,63 @@ def bilstm_last(table, scans, directions):
     with ``directions[i]`` = (w_in, w_rec, bias).  The value and every
     gradient equal, bit for bit, those of ``concat`` over the two
     ``take_time(lstm_sequence(embedding_lookup(table, ids), ...), T - 1)``.
-    As one op, its forward and its backward pass can run the two scans,
-    independent until here, at once: the second on the worker thread where
-    :func:`noisylab.parallel.concurrent` allows it for B x 4H.
+
+    One ``np.unique`` over both scans finds the distinct tokens; each
+    direction projects them once and gathers its time-major gates from
+    that projection (see :mod:`noisylab.kernels`).  As one op, its forward
+    and its backward pass can run the two directions, independent until
+    here, at once: the second on the worker thread where
+    :func:`noisylab.parallel.concurrent` allows it for B x 4H.  In the
+    backward pass a direction adds the gradients of its weights that are
+    leaves straight into their ``grad`` buffers, on the thread that computed
+    them, and hands only the others to the engine; so a leaf weight that
+    the graph also uses elsewhere gets the same sum, added in another order.
     """
     table = _as_tensor(table)
     weights = [tuple(map(_as_tensor, w)) for w in directions]
     ids = [np.asarray(s, dtype=np.int64) for s in scans]
     if len(ids) != 2 or ids[0].ndim != 2 or ids[0].shape != ids[1].shape:
         raise ShapeMismatch(f"bilstm_last: scans of shapes {[s.shape for s in ids]}")
-    xs = [table.values[s] for s in ids]
-    for x, (w_in, w_rec, bias) in zip(xs, weights):
-        _check_lstm("bilstm_last", x, w_in.values, w_rec.values, bias.values)
-    B, T, E = xs[0].shape
+    if table.values.ndim != 2:
+        raise ShapeMismatch(f"bilstm_last: table shape {table.shape}")
+    B, T = ids[0].shape
+    E = table.shape[1]
+    for w_in, w_rec, bias in weights:
+        _check_lstm("bilstm_last", (B, T, E), w_in.values, w_rec.values, bias.values)
     H = weights[0][1].shape[0]
+    tokens, inverse = np.unique(np.stack(ids), return_inverse=True)
+    inverse = inverse.reshape(2, B, T)
+    if tokens.size == 1:  # two rows, so that the projection is a GEMM (see kernels)
+        tokens = np.repeat(tokens, 2)
+    rows = table.values.take(tokens, axis=0)
+    # a leaf weight of a direction gets its gradient on that direction's
+    # thread; both directions sharing one would race
+    direct = len({id(w) for w in weights[0] + weights[1]}) == 6
     at_once = parallel.concurrent(B, 4 * H)
     # the second scan's kernels when it runs on the worker
     fwd = kernels._lstm_forward if at_once else kernels.lstm_forward
     bwd = kernels._lstm_backward if at_once else kernels.lstm_backward
-    caches = parallel.both(
-        lambda: kernels.lstm_forward(xs[0], *(w.values for w in weights[0])),
-        lambda: fwd(xs[1], *(w.values for w in weights[1])), at_once)
+
+    def forward(i, kernel):
+        w_in, w_rec, bias = (w.values for w in weights[i])
+        gates = kernels.project(rows, w_in, bias).take(inverse[i].T, axis=0)
+        x = table.values.take(ids[i].T, axis=0).transpose(1, 0, 2)  # time-major data
+        return x, kernel(x, w_in, w_rec, bias, gates)
+
+    scans_out = parallel.both(lambda: forward(0, kernels.lstm_forward),
+                              lambda: forward(1, fwd), at_once)
 
     def _back(g):
         def direction(i, kernel):
-            (w_in, w_rec, _), x = weights[i], xs[i]
+            (w_in, w_rec, _), (x, caches) = weights[i], scans_out[i]
             dh_all = np.zeros((B, T, H), x.dtype)
             dh_all[:, -1] = g[:, i * H:(i + 1) * H]
-            dx, *dw = kernel(x, w_in.values, w_rec.values, *caches[i], dh_all,
+            dx, *dw = kernel(x, w_in.values, w_rec.values, *caches, dh_all,
                              table.requires_grad)
+            for k, (w, d) in enumerate(zip(weights[i], dw)):
+                if direct and w.requires_grad and not w._parents:
+                    np.add(w.grad, d, out=w.grad)
+                    dw[k] = None
             dt = None
             if dx is not None:
                 dt = np.zeros_like(table.values)
@@ -411,7 +439,7 @@ def bilstm_last(table, scans, directions):
             lambda: direction(0, kernels.lstm_backward), lambda: direction(1, bwd), at_once)
         return (None if dt0 is None else dt0 + dt1, *dw0, *dw1)
 
-    out = np.concatenate([h_all[:, -1] for h_all, *_ in caches], axis=1)
+    out = np.concatenate([caches[0][:, -1] for _, caches in scans_out], axis=1)
     return _node("bilstm_last", out, (table, *weights[0], *weights[1]), _back)
 
 

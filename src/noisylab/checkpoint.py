@@ -29,9 +29,15 @@ def save_checkpoint(path, model_state, vocab, label_set, config, noise_b=None,
     atomic_write(path, lambda fh: np.savez(fh, **arrays), binary=True)
 
 
-def _check_shape(name, array, expected):
+def _checked(name, array, expected):
+    """``array``, once it is known to have shape ``expected``, a float
+    dtype and only finite values."""
     if array.shape != expected:
         raise ValueError(f"{name} has shape {array.shape}, expected {expected}")
+    if array.dtype.kind != "f":
+        raise ValueError(f"{name} has dtype {array.dtype}, expected a float dtype")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} is not finite")
     return array
 
 
@@ -40,8 +46,8 @@ def load_checkpoint(path):
 
     A damaged archive, or one that lacks an array the model needs or holds
     one of another shape than the config, the classes, the vocabulary and
-    the embedding width imply, is a ValueError naming the file (and the
-    array).  The config text may also be a unicode string array, as older
+    the embedding width imply, or a parameter array that is not of a float
+    dtype or not finite, is a ValueError naming the file (and the array).  The config text may also be a unicode string array, as older
     checkpoints store it.
     """
     try:
@@ -52,7 +58,7 @@ def load_checkpoint(path):
             vocab = Vocabulary([str(w) for w in data["vocab_words"]])
             label_set = LabelSet([str(c) for c in data["classes"]])
             state = {name: data[f"model_{name}"] for name in WindowClassifier.STATE}
-            noise = (NoiseMatrix(_check_shape("noise_b", data["noise_b"], (label_set.k,) * 2),
+            noise = (NoiseMatrix(_checked("noise_b", data["noise_b"], (label_set.k,) * 2),
                                  dtype=config.numpy_dtype) if "noise_b" in data.files else None)
             extras = {}
             if "selected_epoch" in data.files:
@@ -60,7 +66,7 @@ def load_checkpoint(path):
             if "dev_f1_history" in data.files:
                 extras["dev_f1_history"] = data["dev_f1_history"].tolist()
         embedding = state["embedding"]
-        _check_shape("model_embedding", embedding, (vocab.size, *embedding.shape[-1:]))
+        _checked("model_embedding", embedding, (vocab.size, *embedding.shape[-1:]))
         model = WindowClassifier(
             embedding, k=label_set.k, hidden_size=config.hidden_size,
             dense_size=config.dense_size, seed=config.seed,
@@ -68,7 +74,7 @@ def load_checkpoint(path):
             pooling=config.pooling, dtype=config.numpy_dtype,
         )
         for name, values in state.items():
-            _check_shape(f"model_{name}", values, getattr(model, name).values.shape)
+            _checked(f"model_{name}", values, getattr(model, name).values.shape)
     except KeyError as err:  # numpy's message names the missing array
         raise ValueError(f"{path}: {err.args[0]}") from None
     except (zipfile.BadZipFile, EOFError, ValueError) as err:

@@ -2,13 +2,20 @@
 backward pass, and a prediction scan that keeps no caches.
 
 Both scans compute the input projection ``x @ w_in + bias`` as one GEMM
-before the time loop, leaving one recurrent GEMM per step (Appleyard et
-al., *Optimizing Performance of RNNs on GPUs*, arXiv 1604.01946), and both
-advance the cell through ``_cell_step``, so the LSTM equations are written
-once.  The training scan projects every step of every row; the prediction
-scan projects each distinct token once and advances each distinct prefix
-of its rows once, following a :class:`PrefixPlan` worked out from the ids
-alone, which a caller that scans the same ids again may keep.
+(:func:`project`) before the time loop, leaving one recurrent GEMM per step
+(Appleyard et al., *Optimizing Performance of RNNs on GPUs*, arXiv
+1604.01946), and both advance the cell through ``_cell_step``, so the LSTM
+equations are written once.  The training scan projects every step of
+every row, or starts from gates its caller gathered from a projection of
+the distinct tokens; the prediction scan starts from a projection of the
+distinct tokens of all its chunks of rows and advances each distinct
+prefix of a chunk once, following a :class:`PrefixPlan` worked out from
+the ids alone, which a caller that scans the same ids again may keep.
+
+A row of a GEMM does not depend on the other rows, as long as there are
+at least two: numpy computes a one-row product as GEMV, which rounds
+otherwise.  So a distinct token's projection equals, bit for bit, that of
+each of its occurrences.
 
 Gate layout along the last axis of the packed weight matrices is
 (input, forget, cell, output), each block of width H.  Internally the
@@ -23,13 +30,12 @@ from typing import NamedTuple
 import numpy as np
 
 
-def _input_projection(x, w_in, bias):
-    """Pre-activations ``x @ w_in + bias`` as one GEMM, time-major (T, B, 4H)."""
-    B, T, E = x.shape
-    xs = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(T * B, E)
-    a = np.dot(xs, w_in)
+def project(rows, w_in, bias):
+    """Pre-activations ``rows @ w_in + bias`` of rows (N, E), as one GEMM
+    and then the bias."""
+    a = np.dot(rows, w_in)
     a += bias
-    return a.reshape(T, B, -1)
+    return a
 
 
 def _cell_step(a, c_prev, c, tc, h):
@@ -57,16 +63,21 @@ def _cell_step(a, c_prev, c, tc, h):
     np.multiply(a[:, 3 * H:], tc, out=h)
 
 
-def lstm_forward(x, w_in, w_rec, bias):
+def lstm_forward(x, w_in, w_rec, bias, gates=None):
     """Run an LSTM over x (B, T, E), scanning left to right.
 
+    ``gates``, when given, holds the pre-activations ``x @ w_in + bias``
+    time-major (T, B, 4H), as the caller projected them; the scan then
+    computes no projection and overwrites ``gates`` with the gates.
     Returns h_all (B, T, H) and the caches ``lstm_backward`` reads: the
     cell states and their tanh (each (T, B, H)) and the post-activation
     gates (T, B, 4H).
     """
-    B, T, _ = x.shape
+    B, T, E = x.shape
     H = w_rec.shape[0]
-    gates = _input_projection(x, w_in, bias)
+    if gates is None:
+        xs = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(T * B, E)
+        gates = project(xs, w_in, bias).reshape(T, B, -1)
     h_tm = np.empty((T, B, H), x.dtype)
     c_all = np.empty((T, B, H), x.dtype)
     tc_all = np.empty((T, B, H), x.dtype)
@@ -84,35 +95,48 @@ def lstm_forward(x, w_in, w_rec, bias):
 class PrefixPlan(NamedTuple):
     """What the prediction scan over some ids needs besides the weights.
 
-    ``tokens`` are the distinct ids, projected once.  ``levels[t]`` is the
-    (token, parent) pair of level t, which holds the distinct prefixes of
-    length t + 1: the index into ``tokens`` of each prefix's last token,
-    and the index of the prefix it extends in level t - 1 (None at level
-    0).  ``out`` is, for every row of the ids, its prefix's index in the
-    last level.  The indices are int32, which halves a kept plan.
+    ``tokens`` are the distinct ids of all the rows, projected once.  The
+    rows are scanned in chunks of consecutive rows, one (levels, out) pair
+    per chunk in ``chunks``.  ``levels[t]`` is the (token, parent) pair of
+    level t, which holds the chunk's distinct prefixes of length t + 1: the
+    index into ``tokens`` of each prefix's last token, and the index of
+    the prefix it extends in level t - 1 (None at level 0).  ``out`` is,
+    for every row of the chunk, its prefix's index in the last level.  The
+    indices are int32, which halves a kept plan.
     """
 
     tokens: np.ndarray
-    levels: tuple
-    out: np.ndarray
+    chunks: tuple
 
 
-def prefix_plan(ids, steps):
+def prefix_plan(ids, steps, chunk=None):
     """:class:`PrefixPlan` of the scan over ids (B, T), in scan order, for
-    its first ``steps`` steps.
+    its first ``steps`` steps, in chunks of ``chunk`` rows (all rows in one
+    chunk by default; no rows are one empty chunk).
 
-    A pure function of the ids and the step count, so a caller that scans
-    the same ids again may keep it.  The rows are sorted once; in sorted
-    order a row starts a new prefix of length t + 1 wherever it differs
-    from the row before it in its first t + 1 tokens.
+    A pure function of the ids, the step count and the chunk size, so a
+    caller that scans the same ids again may keep it.  Each chunk's rows
+    are sorted once; in sorted order a row starts a new prefix of length
+    t + 1 wherever it differs from the row before it in its first t + 1
+    tokens.  The sort of the token indices is the sort of the ids, since
+    ``np.unique`` numbers the distinct ids in increasing order.
     """
     B, T = ids.shape
     if not 1 <= steps <= T:
         raise ValueError(f"steps {steps} outside 1..{T}")
-    ids = ids[:, :steps]
-    tokens, tok = np.unique(ids, return_inverse=True)
-    order = np.lexsort(ids.T[::-1])
-    tok = tok.reshape(B, steps)[order].astype(np.int32)
+    tokens, tok = np.unique(ids[:, :steps], return_inverse=True)
+    tok = tok.reshape(B, steps).astype(np.int32)
+    chunk = chunk or max(B, 1)
+    return PrefixPlan(tokens, tuple(_chunk_levels(tok[start:start + chunk])
+                                    for start in range(0, max(B, 1), chunk)))
+
+
+def _chunk_levels(tok):
+    """(levels, out) of one chunk of token indices (B, steps); see
+    :class:`PrefixPlan`."""
+    B, steps = tok.shape
+    order = np.lexsort(tok.T[::-1])
+    tok = tok[order]
     # new[r, t]: sorted row r starts a prefix of length t + 1 that the row
     # before it does not share; prefix[r, t] is that prefix's index in level t
     new = np.empty((B, steps), bool)
@@ -127,36 +151,37 @@ def prefix_plan(ids, steps):
         levels.append((tok[first, t], None if t == 0 else prefix[first, t - 1]))
     out = np.empty(B, np.int32)
     out[order] = prefix[:, -1]
-    return PrefixPlan(tokens, tuple(levels), out)
+    return tuple(levels), out
 
 
-def lstm_last_hidden(table, plan, w_in, w_rec, bias):
-    """Hidden state (B, H) of the same scan over ``table[ids]`` after its
-    first ``steps`` steps, for the ids and step count ``plan`` was built
-    from (:func:`prefix_plan`).
+def lstm_last_hidden(proj, chunk, w_rec):
+    """Hidden state (B, H), after the plan's ``steps`` steps, of the scan
+    over one chunk of rows of a :class:`PrefixPlan`: ``chunk`` is one
+    (levels, out) pair of the plan's ``chunks``, and ``proj`` is the
+    projection ``project(table[plan.tokens], w_in, bias)`` of the plan's
+    distinct tokens, shared by all its chunks.
 
     For prediction: nothing is cached.  The state after t tokens depends
-    only on those t tokens, so each distinct token is projected once (one
-    GEMM, then ``bias``) and each distinct prefix is advanced once: level
-    t's recurrent term is one GEMM over the distinct prefixes of level
-    t - 1, gathered by parent.
+    only on those t tokens, so each distinct prefix of the chunk is
+    advanced once: level t's recurrent term is one GEMM over the chunk's
+    distinct prefixes of level t - 1, gathered by parent.  The states are
+    those of the chunk's rows scanned on their own.
     """
+    levels, out = chunk
     H = w_rec.shape[0]
-    proj = np.dot(table.take(plan.tokens, axis=0), w_in)
-    proj += bias
-    rows = max(tok.size for tok, _ in plan.levels)
-    tc_buf = np.empty((rows, H), table.dtype)
-    h_buf = np.empty((rows, H), table.dtype)
-    for tok, parent in plan.levels:
+    rows = max(tok.size for tok, _ in levels)
+    tc_buf = np.empty((rows, H), proj.dtype)
+    h_buf = np.empty((rows, H), proj.dtype)
+    for tok, parent in levels:
         a = proj.take(tok, axis=0)
         if parent is None:
-            c = np.zeros((tok.size, H), table.dtype)
+            c = np.zeros((tok.size, H), proj.dtype)
         else:
             a += np.dot(h, w_rec).take(parent, axis=0)
             c = c.take(parent, axis=0)
         h = h_buf[:tok.size]
         _cell_step(a, c, c, tc_buf[:tok.size], h)
-    return h.take(plan.out, axis=0)
+    return h.take(out, axis=0)
 
 
 def lstm_backward(x, w_in, w_rec, h_all, c_all, tc_all, gates, dh_all, need_dx):

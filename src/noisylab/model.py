@@ -2,8 +2,8 @@
 the learnable label-noise layer, and the label-cleaning network baseline.
 
 The noise layer and the cleaning network only ever participate in
-training; prediction is the bare classifier's ``probs`` under
-``autodiff.no_grad``.
+training; prediction is the bare classifier's head over the features of
+:meth:`WindowClassifier.infer`, under ``autodiff.no_grad``.
 """
 
 from typing import Sequence
@@ -21,6 +21,16 @@ WINDOW_SIZE = 2 * WINDOW_RADIUS + 1
 DEFAULT_CLASSES = ("O", "PER", "ORG", "LOC", "MISC")
 
 POOLINGS = ("final", "center")
+
+# Rows whose features a prediction call holds at once, rounded down to
+# whole chunks (see WindowClassifier.infer).  A block's distinct tokens are
+# projected once per direction; a bound that does not grow with the split
+# keeps the features and projections of a large split (N) from all being
+# alive at once.  At 2048 the paper-size dev split (about 1400 distinct
+# windows) is one block; as two blocks of 1024 it scored 8-10% slower, as
+# the second block projects shared tokens again and each block ends with a
+# worker idle.
+PREDICT_BLOCK = 2048
 
 
 class LabelSet:
@@ -155,18 +165,24 @@ class WindowClassifier(_Network):
         self.out_w = t("out_w", (dense_size, k), dense_size)
         self.out_b = Tensor(np.zeros(k, dtype=dtype), requires_grad=True)
 
-    def features(self, token_ids, plans=None):
+    def features(self, token_ids, plans=None, chunk=None):
         """BiLSTM window representation as a Tensor of shape (B, 2H).
 
         Each direction scans its ids (the backward one the window reversed)
-        for ``steps`` tokens and reads its last state; the two scans run at
-        once where :func:`noisylab.parallel.concurrent` allows it for
-        B x 4H.  Under ``autodiff.no_grad`` nothing will be differentiated,
-        so the scan is the cache-free prediction one, which evaluates each
-        distinct token and window prefix once.  Its prefix plans come from
-        ``plans``, a dict that a caller scoring the same ids again keeps for
-        them: the plans of this model's step count are read from it, or
-        built and stored in it.  Without one they are built for this call.
+        for ``steps`` tokens and reads its last state.  In training the two
+        scans run at once where :func:`noisylab.parallel.concurrent` allows
+        it for B x 4H.  Under ``autodiff.no_grad`` nothing will be
+        differentiated, so the scan is the cache-free prediction one, over
+        chunks of ``chunk`` rows (all rows by default): each direction
+        projects the distinct tokens of all rows once, and then advances
+        each distinct window prefix of each chunk once, one task per chunk
+        and direction.  The two projections, and then the tasks, run on two
+        workers where ``concurrent`` allows it for chunk x 4H; each worker
+        takes the next task when it is done with one.  The prefix plans come
+        from ``plans``, a dict that a caller scoring the same ids again
+        keeps for them: the plans of this model's step count and this chunk
+        size are read from it, or built and stored in it.  Without one they
+        are built for this call.
         """
         ids = np.atleast_2d(token_ids)
         steps = self.steps
@@ -178,37 +194,80 @@ class WindowClassifier(_Network):
                                   directions)
         if plans is None:
             plans = {}
-        if steps not in plans:
-            plans[steps] = [kernels.prefix_plan(scan, steps) for scan in scans]
-        fw, bw = ((plan, *(w.values for w in weights))
-                  for plan, weights in zip(plans[steps], directions))
+        if (steps, chunk) not in plans:
+            plans[steps, chunk] = [kernels.prefix_plan(scan, steps, chunk) for scan in scans]
+        plans = plans[steps, chunk]
         table = self.embedding.values
-        states = parallel.both(lambda: kernels.lstm_last_hidden(table, *fw),
-                               lambda: kernels.lstm_last_hidden(table, *bw),
-                               parallel.concurrent(ids.shape[0], 4 * self.hidden_size))
-        return Tensor(np.concatenate(states, axis=1))
+        B, H = ids.shape[0], self.hidden_size
+        chunk = chunk or max(B, 1)
+        at_once = parallel.concurrent(min(chunk, B), 4 * H)
 
-    def probs(self, token_ids, plans=None):
-        """Class distributions as a Tensor of shape (B, k); ``plans`` as
-        in :meth:`features`."""
-        feats = self.features(token_ids, plans)
-        hidden = ad.relu(ad.add(ad.matmul(feats, self.dense_w), self.dense_b))
+        def project(d):
+            w_in, _, bias = directions[d]
+            return kernels.project(table.take(plans[d].tokens, axis=0), w_in.values, bias.values)
+
+        def scan(task):
+            d, i = task
+            feats[i * chunk:(i + 1) * chunk, d * H:(d + 1) * H] = kernels.lstm_last_hidden(
+                proj[d], plans[d].chunks[i], directions[d][1].values)
+
+        proj = parallel.both(lambda: project(0), lambda: project(1), at_once)
+        feats = np.empty((B, 2 * H), table.dtype)
+        parallel.each(scan, ((d, i) for i in range(len(plans[0].chunks)) for d in (0, 1)),
+                      at_once)
+        return Tensor(feats)
+
+    def head(self, features):
+        """Class distributions (B, k) from window features (B, 2H)."""
+        hidden = ad.relu(ad.add(ad.matmul(features, self.dense_w), self.dense_b))
         logits = ad.add(ad.matmul(hidden, self.out_w), self.out_b)
         return ad.softmax(logits, axis=-1)
 
+    def probs(self, token_ids):
+        """Class distributions as a Tensor of shape (B, k)."""
+        return self.head(self.features(token_ids))
+
+    def infer(self, token_ids, fn, chunk=None, kept=None):
+        """The no-grad forward path: ``fn(rows, features)`` of each chunk of
+        ``chunk`` rows (all rows by default), where ``rows`` is the chunk's
+        slice of ``token_ids`` and ``features`` its :meth:`features` Tensor;
+        the results are concatenated along axis 0.  No rows are one empty
+        chunk.
+
+        The rows are scanned in blocks of PREDICT_BLOCK rows, rounded down
+        to whole chunks (one chunk at least), each one call of
+        :meth:`features`: two hand-overs to the worker per block (the
+        projections, then the scan tasks), not per chunk, and one block's
+        features alive at a time.  ``kept``, a dict that a caller scoring
+        the same ids again passes each time, keeps each block's prefix
+        plans.
+        """
+        ids = np.atleast_2d(token_ids)
+        chunk = chunk or max(ids.shape[0], 1)
+        block = max(PREDICT_BLOCK // chunk, 1) * chunk
+        out = []
+        with ad.no_grad():
+            for start in range(0, max(ids.shape[0], 1), block):
+                plans = None if kept is None else kept.setdefault(start, {})
+                feats = self.features(ids[start:start + block], plans, chunk).values
+                for offset in range(0, max(feats.shape[0], 1), chunk):
+                    rows = slice(start + offset, start + offset + chunk)
+                    out.append(fn(rows, Tensor(feats[offset:offset + chunk])))
+        return np.concatenate(out)
+
     def infer_features(self, token_ids):
         """:meth:`features` under ``no_grad``, as an array."""
-        with ad.no_grad():
-            return self.features(token_ids).values
+        return self.infer(token_ids, lambda rows, feats: feats.values)
 
-    def predict(self, token_ids, plans=None):
+    def predict(self, token_ids, chunk=None, kept=None):
         """Predicted class per window; ties break toward the lowest index.
-        ``plans`` as in :meth:`features`.
+        ``chunk`` and ``kept`` as in :meth:`infer`.
 
         The noise layer and the cleaning network never participate here.
         """
-        with ad.no_grad():
-            return np.argmax(self.probs(token_ids, plans).values, axis=-1)
+        return self.infer(token_ids,
+                          lambda rows, feats: np.argmax(self.head(feats).values, axis=-1),
+                          chunk, kept)
 
 
 def theta_from_b(b):

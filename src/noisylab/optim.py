@@ -87,29 +87,38 @@ class Adam:
 
         Each element goes through the textbook operations in the textbook
         order, so the result is bit-identical to the plain formula.  The
-        gradients are checked before anything is written.  The store's two
-        halves, split at a block boundary, are updated at once where
-        :func:`noisylab.parallel.concurrent` allows it for the smaller half.
+        store's two halves, split at a block boundary, are checked and then
+        updated at once where :func:`noisylab.parallel.concurrent` allows it
+        for the smaller half; both halves are checked before either is
+        written.
         """
         t = self.step_count + 1
-        grads = self.pack.grads
-        # a sum is finite only if every term is; a sum of finite terms can
-        # also overflow, so the exact check runs only when the sum is not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = grads.sum()
-        if not np.isfinite(total):
-            bad = np.flatnonzero(~np.isfinite(grads))
-            if bad.size:
-                i = int(np.searchsorted(self.pack.offsets, bad[0], side="right")) - 1
-                raise NonFiniteError(
-                    f"Adam: non-finite gradient in parameter {i} of shape "
-                    f"{self.params[i].shape} at step {t}")
-        blocks = -(-grads.size // BLOCK)
-        half = min(grads.size, -(-blocks // 2) * BLOCK)
+        size = self.pack.grads.size
+        blocks = -(-size // BLOCK)
+        half = min(size, -(-blocks // 2) * BLOCK)
+        at_once = parallel.concurrent(size - half, 1)
+        parallel.both(lambda: self._check(0, half, t),
+                      lambda: self._check(half, size, t), at_once)
         parallel.both(lambda: self._update(0, half, t, self._scratch[0]),
-                      lambda: self._update(half, grads.size, t, self._scratch[1]),
-                      parallel.concurrent(grads.size - half, 1))
+                      lambda: self._update(half, size, t, self._scratch[1]), at_once)
         self.step_count = t
+
+    def _check(self, start, stop, t):
+        """Raise NonFiniteError, naming the parameter, if a gradient of the
+        store's elements start:stop is not finite.  A sum of squares is
+        finite only if every term is; finite terms can also overflow it, so
+        the exact check runs only when it is not finite."""
+        grads = self.pack.grads[start:stop]
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = np.dot(grads, grads)
+        if np.isfinite(square):
+            return
+        bad = np.flatnonzero(~np.isfinite(grads))
+        if bad.size:
+            i = int(np.searchsorted(self.pack.offsets, start + bad[0], side="right")) - 1
+            raise NonFiniteError(
+                f"Adam: non-finite gradient in parameter {i} of shape "
+                f"{self.params[i].shape} at step {t}")
 
     def _update(self, start, stop, t, scratch):
         """Step ``t``'s update of the store's elements start:stop, block by

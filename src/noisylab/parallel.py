@@ -19,6 +19,7 @@ pay for the hand-over.
 import ctypes
 import glob
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import cache
@@ -114,6 +115,36 @@ def both(first, second, at_once=True):
         return first(), future.result()
     finally:
         future.exception()  # waits for the worker when first() raised
+
+
+def each(fn, items, at_once=True):
+    """``fn(item)`` for every item.  With ``at_once``, the caller's thread
+    and the worker each take the next item not yet taken until none is
+    left, so that items of unequal cost even out between them; after an
+    error neither takes another.  The worker has finished before this
+    returns or raises."""
+    items = iter(items)
+    if not at_once:
+        for item in items:
+            fn(item)
+        return
+    lock = threading.Lock()
+    failed = []
+    end = object()
+
+    def drain():
+        while not failed:
+            with lock:
+                item = next(items, end)
+            if item is end:
+                return
+            try:
+                fn(item)
+            except BaseException:
+                failed.append(True)
+                raise
+
+    both(drain, drain)
 
 
 def _forget_worker():

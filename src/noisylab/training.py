@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import parallel
-from .autodiff import NonFiniteError, Tensor, absolute_error, cross_entropy, no_grad
+from .autodiff import NonFiniteError, Tensor, absolute_error, cross_entropy
 from .data import SplitDataset, prepare
 from .evaluation import PRFReport, entity_prf
 from .model import (
@@ -165,25 +165,19 @@ def _clean_noisy_labels(model, cleaner, noisy_split, indices, k, eval_batch):
     fall back to the observed noisy label."""
     ids, z = noisy_split.take(indices, "z")
     dtype = cleaner.proj_w.values.dtype
-    cleaned = np.empty(ids.shape[0], dtype=np.int64)
-    chunk = _chunk_rows(model, eval_batch)
-    for start in range(0, ids.shape[0], chunk):
-        sl = slice(start, start + chunk)
-        with no_grad():
-            vec = cleaner.forward(model.features(ids[sl]),
-                                  one_hot(z[sl], k, dtype=dtype)).values
-        sums = vec.sum(axis=1)
-        out = np.argmax(vec, axis=1)
-        dead = sums <= 0.0
-        out[dead] = z[sl][dead]
-        cleaned[sl] = out
+    vec = model.infer(
+        ids, lambda rows, feats: cleaner.forward(feats, one_hot(z[rows], k, dtype=dtype)).values,
+        _chunk_rows(model, eval_batch))
+    cleaned = np.argmax(vec, axis=1)
+    dead = vec.sum(axis=1) <= 0.0
+    cleaned[dead] = z[dead]
     return ids, cleaned
 
 
 def _chunk_rows(model, eval_batch):
-    """Rows per prediction call: half of ``eval_batch`` where the two scans
-    of a call that large may run at once, so that at most ``eval_batch``
-    rows are scanned at a time."""
+    """Rows per chunk of a prediction: half of ``eval_batch`` where the two
+    directions of a chunk that large may run at once, so that at most
+    ``eval_batch`` rows are scanned at a time."""
     if parallel.concurrent(eval_batch, 4 * model.hidden_size):
         return max(eval_batch // 2, 1)
     return eval_batch
@@ -194,11 +188,12 @@ def predict_split(model, split, eval_batch, kept=None):
     """Predicted class of every window of ``split``; counts as one read.
 
     Each distinct window is predicted once, in chunks of ``eval_batch``
-    rows (see :func:`_chunk_rows`), and its prediction is scattered back to
-    every place it occurs.  ``kept``, a dict that a caller predicting the
-    split again passes each time, holds the distinct rows and each chunk's
-    prefix plans after the first call; without one they are worked out for
-    this call.  BLAS runs on one thread (:mod:`noisylab.parallel`).
+    rows (see :func:`_chunk_rows`), through ``model.predict``, and its
+    prediction is scattered back to every place it occurs.  ``kept``, a
+    dict that a caller predicting the split again passes each time, holds
+    the distinct rows and their prefix plans after the first call; without
+    one they are worked out for this call.  BLAS runs on one thread
+    (:mod:`noisylab.parallel`).
     """
     kept = {} if kept is None else kept
     ids, _ = split.take(slice(None))
@@ -206,11 +201,7 @@ def predict_split(model, split, eval_batch, kept=None):
         rows, inverse = np.unique(ids, axis=0, return_inverse=True)
         kept["distinct"] = rows, inverse.reshape(-1)
     rows, inverse = kept["distinct"]
-    preds = np.empty(rows.shape[0], dtype=np.int64)
-    chunk = _chunk_rows(model, eval_batch)
-    for start in range(0, rows.shape[0], chunk):
-        stop = start + chunk
-        preds[start:stop] = model.predict(rows[start:stop], kept.setdefault((start, stop), {}))
+    preds = model.predict(rows, _chunk_rows(model, eval_batch), kept.setdefault("plans", {}))
     return preds[inverse]
 
 

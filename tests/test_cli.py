@@ -441,6 +441,23 @@ class TestBadInputFilesExit2:
         assert f"error: {damaged}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("array, edit, message", [
+        ("model_embedding", lambda a: np.full_like(a, np.nan), "model_embedding is not finite"),
+        ("model_fw_in", lambda a: a.astype(np.int64),
+         "model_fw_in has dtype int64, expected a float dtype"),
+    ], ids=["embedding-nan", "fw_in-int64"])
+    def test_checkpoint_array_not_finite_or_not_float(self, run_dir, toy_dir, tmp_path, capsys,
+                                                     array, edit, message):
+        damaged = tmp_path / "checkpoint.npz"
+        with np.load(run_dir / "checkpoint.npz") as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays[array] = edit(arrays[array])
+        np.savez(damaged, **arrays)
+        assert main(["evaluate", "--checkpoint", str(damaged), "--test",
+                     str(toy_dir / "test.conll"), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {damaged}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, message", [
         # the config's embedding_dim is 12
         ("the" + " 0.1" * 12 + "\nof" + " 0.5" * 11 + " nan\n",

@@ -603,6 +603,29 @@ class TestCheckpointSave:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("array, edit, message", [
+        ("model_embedding", lambda a: np.full_like(a, np.nan), "model_embedding is not finite"),
+        ("model_out_b", lambda a: np.where(np.arange(a.size) == 1, np.inf, a),
+         "model_out_b is not finite"),
+        ("noise_b", lambda a: np.where(np.eye(5, dtype=bool), np.nan, a), "noise_b is not finite"),
+        ("model_fw_in", lambda a: a.astype(np.int64),
+         "model_fw_in has dtype int64, expected a float dtype"),
+        ("noise_b", lambda a: a.astype(bool), "noise_b has dtype bool, expected a float dtype"),
+    ], ids=["embedding-nan", "out_b-inf", "noise_b-nan", "fw_in-int64", "noise_b-bool"])
+    def test_array_not_finite_or_not_float_is_a_value_error_naming_it(self, tmp_path, array,
+                                                                       edit, message):
+        from noisylab.checkpoint import load_checkpoint
+
+        path = tmp_path / "checkpoint.npz"
+        self._save(path)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays[array] = edit(arrays[array])
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("dropped", ["config_text", "model_fw_rec"])
     def test_missing_array_is_a_value_error_naming_it(self, tmp_path, dropped):
         from noisylab.checkpoint import load_checkpoint

@@ -55,10 +55,17 @@ def make_window_inputs(rng, b=3, t=7, e=4, h=3, vocab=12):
     return table, ids, w_in, w_rec, bias
 
 
+def scan_plan(table, plan, w_in, w_rec, bias):
+    """The prediction scan of every chunk of ``plan`` over ``table``, each
+    from one projection of the plan's distinct tokens."""
+    proj = kernels.project(table.take(plan.tokens, axis=0), w_in, bias)
+    return np.concatenate([kernels.lstm_last_hidden(proj, part, w_rec) for part in plan.chunks])
+
+
 def last_hidden(table, ids, w_in, w_rec, bias, steps):
     """The prediction scan over ``table[ids]`` for ``steps`` steps, on a
     prefix plan built for this call."""
-    return kernels.lstm_last_hidden(table, kernels.prefix_plan(ids, steps), w_in, w_rec, bias)
+    return scan_plan(table, kernels.prefix_plan(ids, steps), w_in, w_rec, bias)
 
 
 def oracle_last_hidden(table, ids, w_in, w_rec, bias, steps):
@@ -233,9 +240,27 @@ def test_kept_plan_serves_every_weight_update():
         plan = kernels.prefix_plan(ids, steps)
         for _ in range(3):
             _, _, w_in, w_rec, bias = make_window_inputs(rng, b=1, t=7)
-            np.testing.assert_array_equal(
-                kernels.lstm_last_hidden(table, plan, w_in, w_rec, bias),
-                last_hidden(table, ids, w_in, w_rec, bias, steps))
+            np.testing.assert_array_equal(scan_plan(table, plan, w_in, w_rec, bias),
+                                          last_hidden(table, ids, w_in, w_rec, bias, steps))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("chunk", [1, 7, 25, 60])
+def test_chunks_of_a_plan_scan_as_the_chunks_on_their_own(dtype, chunk):
+    # one projection of all the rows' distinct tokens serves every chunk,
+    # bit for bit as if each chunk were scanned on its own
+    rng = np.random.default_rng(20)
+    table, ids, w_in, w_rec, bias = (a.astype(dtype) if a.dtype.kind == "f" else a
+                                     for a in make_window_inputs(rng, b=60, t=7, vocab=30))
+    for steps in (4, 7):
+        plan = kernels.prefix_plan(ids, steps, chunk)
+        assert [out.size for _, out in plan.chunks] == [
+            min(chunk, 60 - start) for start in range(0, 60, chunk)]
+        got = scan_plan(table, plan, w_in, w_rec, bias)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, np.concatenate([
+            last_hidden(table, ids[start:start + chunk], w_in, w_rec, bias, steps)
+            for start in range(0, 60, chunk)]))
 
 
 def oracle_backward(x, w_in, w_rec, h_all, c_all, tc_all, gates, dh_all):

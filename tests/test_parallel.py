@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -55,13 +56,19 @@ def run(fn, at_once, monkeypatch):
             return fn()
 
 
-def bilstm_inputs(seed, trainable, b=5, t=7, e=4, h=3, vocab=9):
+def bilstm_inputs(seed, trainable, b=5, t=7, e=4, h=3, vocab=9, tokens="repeated"):
+    """Table, two directions' weights, ids (B, T) and output coefficients;
+    the ids repeat tokens, are all distinct, or are all one token."""
     rng = np.random.default_rng(seed)
+    if tokens == "distinct":
+        vocab = max(vocab, b * t)
     table = Tensor(rng.standard_normal((vocab, e)), requires_grad=trainable)
     directions = [tuple(Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True)
                         for shape in ((e, 4 * h), (h, 4 * h), (4 * h,)))
                   for _ in range(2)]
-    ids = rng.integers(0, vocab, (b, t))
+    ids = {"repeated": lambda: rng.integers(0, vocab, (b, t)),
+           "distinct": lambda: rng.permutation(vocab)[:b * t].reshape(b, t),
+           "one": lambda: np.full((b, t), vocab - 1)}[tokens]()
     coeffs = rng.standard_normal((b, 2 * h))
     return table, directions, ids, coeffs
 
@@ -159,6 +166,43 @@ class TestBoth:
             parallel.both(fail, slow)
         assert done == [True]
 
+    @pytest.mark.parametrize("at_once", [False, True])
+    def test_each_runs_every_item_once(self, at_once):
+        done = []
+
+        def work(item):
+            time.sleep(0.005)  # long enough for both threads to take items
+            done.append((item, threading.current_thread().name))
+
+        parallel.each(work, range(8), at_once)
+        assert sorted(item for item, _ in done) == list(range(8))
+        assert len({name for _, name in done}) == (2 if at_once else 1)
+
+    def test_each_takes_every_item_once_under_frequent_thread_switches(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        done = []
+        try:
+            parallel.each(done.append, range(20000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(done) == list(range(20000))
+
+    def test_each_raises_and_takes_no_item_after_an_error(self):
+        taken = []
+
+        def work(item):
+            taken.append(item)
+            if item == 1:
+                raise NonFiniteError("item 1")
+            time.sleep(0.05)
+
+        with pytest.raises(NonFiniteError, match="item 1"):
+            parallel.each(work, range(10))
+        # item 0 on one thread, item 1 fails on the other; at most one more
+        # is taken, by the thread that finishes item 0 after the failure
+        assert len(taken) <= 3
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_starts_its_own_worker(self):
         import multiprocessing
@@ -181,6 +225,50 @@ class TestBilstmLast:
         scans = [ids[:, :steps], ids[:, ::-1][:, :steps]]
         assert_identical(value_and_grads(ad.bilstm_last, table, directions, scans, coeffs),
                          value_and_grads(composed, table, directions, scans, coeffs))
+
+    @pytest.mark.parametrize("tokens", ["distinct", "one"])
+    @pytest.mark.parametrize("steps", [7, 4])
+    def test_equals_the_ops_it_fuses_when_no_token_or_every_token_repeats(self, tokens, steps):
+        table, directions, ids, coeffs = bilstm_inputs(7, True, tokens=tokens)
+        assert np.unique(ids).size == (ids.size if tokens == "distinct" else 1)
+        scans = [ids[:, :steps], ids[:, ::-1][:, :steps]]
+        assert_identical(value_and_grads(ad.bilstm_last, table, directions, scans, coeffs),
+                         value_and_grads(composed, table, directions, scans, coeffs))
+
+    @pytest.mark.parametrize("steps", [7, 4])
+    def test_weights_that_are_op_outputs_get_their_gradients(self, steps):
+        table, directions, ids, coeffs = bilstm_inputs(8, True)
+        scans = [ids[:, :steps], ids[:, ::-1][:, :steps]]
+
+        def scaled(op):
+            """``op`` over weights that are the outputs of an op, not leaves."""
+            return lambda table, scans, directions: op(
+                table, scans, [tuple(ad.mul(w, 1.5) for w in d) for d in directions])
+
+        got = value_and_grads(scaled(ad.bilstm_last), table, directions, scans, coeffs)
+        assert_identical(got, value_and_grads(scaled(composed), table, directions, scans, coeffs))
+        assert all(g.any() for g in got[1])
+
+    @needs_pin
+    @pytest.mark.parametrize("at_once", [False, True])
+    def test_two_passes_without_zeroing_give_twice_the_weight_gradients(self, monkeypatch,
+                                                                         at_once):
+        table, directions, ids, coeffs = bilstm_inputs(9, True)
+        scans = [ids, ids[:, ::-1]]
+        weights = [*directions[0], *directions[1]]
+
+        def two_passes():
+            grads = []
+            for _ in range(2):
+                out = ad.bilstm_last(table, scans, directions)
+                ad.reduce_sum(ad.mul(out, coeffs)).backward()
+                grads.append([w.grad.copy() for w in weights])
+            return grads
+
+        once, twice = run(two_passes, at_once, monkeypatch)
+        for a, b in zip(once, twice):
+            assert a.any()
+            np.testing.assert_array_equal(b, 2 * a)
 
     @needs_pin
     @pytest.mark.parametrize("trainable", [False, True])
@@ -247,30 +335,26 @@ class TestModelPaths:
         model = WindowClassifier(data.embedding_table, k=data.k, hidden_size=10,
                                  dense_size=8, seed=2)
         split = data.dev
-        calls = []
-        predict = WindowClassifier.predict
-
-        def spy(self, rows, plans=None):
-            calls.append(rows.shape[0])
-            return predict(self, rows, plans)
-
         scans = []
         scan = kernels.lstm_last_hidden
 
-        def scan_spy(*args):
-            scans.append(threading.current_thread().name)
-            return scan(*args)
+        def scan_spy(proj, chunk, w_rec):
+            scans.append((threading.current_thread().name, chunk[1].size))
+            time.sleep(0.01)  # long enough for both workers to take a task
+            return scan(proj, chunk, w_rec)
 
-        monkeypatch.setattr(WindowClassifier, "predict", spy)
         monkeypatch.setattr(kernels, "lstm_last_hidden", scan_spy)
         rows = np.unique(split.token_ids, axis=0).shape[0]
         one_chunk = run(lambda: training.predict_split(model, split, rows), False, monkeypatch)
-        assert calls == [rows] and len(set(scans)) == 1
-        calls.clear()
+        assert [size for _, size in scans] == [rows, rows]
+        assert len({name for name, _ in scans}) == 1
+        scans.clear()
         halves = run(lambda: training.predict_split(model, split, rows), True, monkeypatch)
-        # at most `rows` rows in flight across the two workers
-        assert max(calls) == rows // 2 and sum(calls) == rows
-        assert len(set(scans)) == 2
+        # tasks of at most rows // 2 rows, one at a time per worker, so at
+        # most `rows` rows in flight across the two workers
+        assert max(size for _, size in scans) == rows // 2
+        assert sum(size for _, size in scans) == 2 * rows
+        assert len({name for name, _ in scans}) == 2
         np.testing.assert_array_equal(halves, one_chunk)
 
 
@@ -309,6 +393,47 @@ class TestAdamHalves:
         assert len({r[2] for r in ran}) == 2
 
 
+    @needs_pin
+    @pytest.mark.parametrize("bad", ["first half", "second half"])
+    def test_non_finite_in_either_half_raises_before_any_write(self, monkeypatch, bad):
+        rng = np.random.default_rng(6)
+        shapes = [(optim.BLOCK + 7,), (3, optim.BLOCK // 2), (optim.BLOCK - 5, 1)]
+        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        opt = Adam(params, lr=0.01)
+        size, half = opt.pack.values.size, 2 * optim.BLOCK  # four blocks, split two and two
+        assert size > 3 * optim.BLOCK
+        checked = []
+        check = Adam._check
+
+        def spy(self, start, stop, t):
+            checked.append((start, stop, threading.current_thread().name))
+            return check(self, start, stop, t)
+
+        monkeypatch.setattr(Adam, "_check", spy)
+
+        def steps():
+            for p in params:
+                p.grad[...] = rng.standard_normal(p.shape)
+            opt.step()
+            for p in params:
+                p.grad[...] = rng.standard_normal(p.shape)
+            opt.pack.grads[5 if bad == "first half" else half + 5] = np.nan
+            before = [a.copy() for a in (opt.pack.values, opt.pack.grads, opt._m, opt._v)]
+            checked.clear()
+            with pytest.raises(NonFiniteError) as err:
+                opt.step()
+            return before, str(err.value)
+
+        before, message = run(steps, True, monkeypatch)
+        i, shape = (0, shapes[0]) if bad == "first half" else (1, shapes[1])
+        assert message == f"Adam: non-finite gradient in parameter {i} of shape {shape} at step 2"
+        assert opt.step_count == 1
+        for now, then in zip((opt.pack.values, opt.pack.grads, opt._m, opt._v), before):
+            assert now.tobytes() == then.tobytes()
+        assert {c[:2] for c in checked} == {(0, half), (half, size)}
+        assert len({c[2] for c in checked}) == 2
+
+
 class TestPinAroundTrialsAndPrediction:
     @pytest.fixture
     def caller_count(self):
@@ -337,7 +462,7 @@ class TestPinAroundTrialsAndPrediction:
                                                       monkeypatch):
         config, data = tiny
 
-        def diverge(self, rows, plans=None):
+        def diverge(self, *args):
             assert blas_threads() == 1
             raise NonFiniteError("diverged")
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from noisylab import kernels
+from noisylab import model as model_module
 from noisylab.autodiff import no_grad
 from noisylab.config import ExperimentConfig
 from noisylab.data import prepare
-from noisylab.model import CleaningNetwork, NoiseMatrix
+from noisylab.model import PREDICT_BLOCK, CleaningNetwork, NoiseMatrix
 from noisylab.optim import Adam
 from noisylab.rng import substream
 from noisylab.toydata import generate_corpus
@@ -466,7 +467,7 @@ class TestEvaluateSplit:
         class Oracle:
             hidden_size = 1  # predict_split sizes its chunks by the model's width
 
-            def predict(self, ids, plans=None):
+            def predict(self, ids, chunk=None, kept=None):
                 return np.array([gold_of[window.tobytes()] for window in ids])
 
         f1, report = evaluate_split(Oracle(), split, tiny_data.label_set, 64)
@@ -519,11 +520,35 @@ class TestPredictSplit:
         for _ in range(2):  # builds the plans, then reuses them
             np.testing.assert_array_equal(predict_split(model, split, 64, kept), inline)
         np.testing.assert_array_equal(kept["distinct"][0], rows)
+        assert rows.shape[0] <= PREDICT_BLOCK  # one block, whose plans are kept[...][0]
         with no_grad():
-            features = model.features(rows[:64])
-            from_kept = model.features(rows[:64], kept[(0, 64)])
+            features = model.features(rows, None, 64)
+            from_kept = model.features(rows, kept["plans"][0], 64)
         assert features.values.dtype == dtype
         np.testing.assert_array_equal(from_kept.values, features.values)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pooling", ["final", "center"])
+    def test_blocked_scan_equals_the_per_chunk_scan(self, tiny_data, monkeypatch, pooling,
+                                                   dtype):
+        from noisylab.model import WindowClassifier
+        monkeypatch.setattr(model_module, "PREDICT_BLOCK", 100)
+        model = WindowClassifier(tiny_data.embedding_table, k=5, hidden_size=10,
+                                 dense_size=8, seed=6, pooling=pooling, dtype=dtype)
+        rows = np.unique(tiny_data.dev.token_ids, axis=0)
+        assert rows.shape[0] > 3 * 100  # a split of several blocks
+        # blocks of three chunks, of two, and of one chunk larger than the bound
+        for chunk in (32, 40, 150):
+            with no_grad():  # the oracle: each chunk scanned on its own
+                per_chunk = [model.features(rows[s:s + chunk])
+                             for s in range(0, rows.shape[0], chunk)]
+            features = model.infer(rows, lambda r, f: f.values, chunk)
+            assert features.dtype == dtype
+            np.testing.assert_array_equal(features,
+                                          np.concatenate([f.values for f in per_chunk]))
+            np.testing.assert_array_equal(
+                model.predict(rows, chunk),
+                np.concatenate([np.argmax(model.head(f).values, axis=-1) for f in per_chunk]))
 
     def test_plans_kept_per_step_count(self, tiny_data):
         from noisylab.model import WindowClassifier
@@ -536,25 +561,26 @@ class TestPredictSplit:
         for _ in range(2):  # one split scored by both poolings keeps plans for both
             for model, expected in zip(models, inline):
                 np.testing.assert_array_equal(predict_split(model, split, 64, kept), expected)
-        assert sorted(kept[(0, 64)]) == [4, 7]
+        assert sorted(kept["plans"][0]) == [(4, 64), (7, 64)]
 
-    def test_plans_built_once_per_chunk_and_direction(self, tiny_data, monkeypatch):
+    def test_plans_built_once_per_block_and_direction(self, tiny_data, monkeypatch):
         built = []
         build = kernels.prefix_plan
 
-        def spy(ids, steps):
-            built.append((ids.shape[0], steps))
-            return build(ids, steps)
+        def spy(ids, steps, chunk=None):
+            built.append((ids.shape[0], steps, chunk))
+            return build(ids, steps, chunk)
 
         monkeypatch.setattr(kernels, "prefix_plan", spy)
+        monkeypatch.setattr(model_module, "PREDICT_BLOCK", 250)  # blocks of two chunks
         config = dataclasses.replace(TINY, epochs=4, eval_batch_size=100)
         train_variant("noise-model", tiny_data, config, trial_seed=1)
-        chunks = [-(-np.unique(split.token_ids, axis=0).shape[0] // 100)
+        blocks = [-(-np.unique(split.token_ids, axis=0).shape[0] // 200)
                   for split in (tiny_data.dev, tiny_data.test)]
-        assert len(built) == 2 * sum(chunks) == 16  # dev's kept over 4 epochs
-        assert {steps for _, steps in built} == {7}
+        assert len(built) == 2 * sum(blocks) == 8  # dev's kept over 4 epochs
+        assert {(steps, chunk) for _, steps, chunk in built} == {(7, 100)}
         train_variant("noise-model", tiny_data, config, trial_seed=2)
-        assert len(built) == 32  # a trial owns its plans; the split keeps none
+        assert len(built) == 16  # a trial owns its plans; the split keeps none
 
     def test_prediction_leaves_only_reads_on_a_split(self, corpora, model):
         data = prepare(TINY, *corpora)
