@@ -10,7 +10,7 @@ an entity-level evaluation harness.
 __version__ = "0.1.0"
 
 from .autodiff import Tensor, ShapeMismatch, NonFiniteError, gradient_check
-from .model import LabelSet, NoiseMatrix, build_window, theta_from_b
+from .model import LabelSet, NoiseMatrix, theta_from_b
 
 __all__ = [
     "Tensor",
@@ -19,6 +19,5 @@ __all__ = [
     "gradient_check",
     "LabelSet",
     "NoiseMatrix",
-    "build_window",
     "theta_from_b",
 ]

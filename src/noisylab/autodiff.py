@@ -5,16 +5,14 @@ Ops build an eager computation graph of :class:`Tensor` nodes; calling
 ``grad`` of every reachable leaf with ``requires_grad``.  Each backward
 pass contributes independently, so two passes without zeroing yield
 exactly twice the gradient of one pass.  An op records its parents and
-backward rule (:func:`_node`) only where a gradient can reach it: inside
-``no_grad()``, or when no input requires a gradient, its output is a
-constant.
+backward rule (:func:`_node`) only where a gradient can reach it: when no
+input requires a gradient, its output is a constant.
 
 64-bit floats are the default; 32-bit is available for speed by passing
 float32 arrays in (ops preserve the input dtype).
 """
 
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,24 +21,6 @@ from . import kernels, parallel
 DEFAULT_DTYPE = np.float64
 
 LOG_FLOOR = 1e-12
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Within this block ops record no graph (for prediction)."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
-
-
-def is_grad_enabled():
-    return _grad_enabled
 
 
 class ShapeMismatch(ValueError):
@@ -131,12 +111,12 @@ class Tensor:
 
 
 def _node(op, values, parents, backward):
-    """An op's output.  Only when grad mode is on and some parent requires a
-    gradient does it record ``parents`` and ``backward`` (a function from
-    the output's gradient to one gradient per parent, None to skip one);
-    otherwise it is a constant that ``backward`` never reaches."""
+    """An op's output.  Only when some parent requires a gradient does it
+    record ``parents`` and ``backward`` (a function from the output's
+    gradient to one gradient per parent, None to skip one); otherwise it is
+    a constant that ``backward`` never reaches."""
     out = Tensor(values)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward

@@ -29,13 +29,15 @@ def save_checkpoint(path, model_state, vocab, label_set, config, noise_b=None,
     atomic_write(path, lambda fh: np.savez(fh, **arrays), binary=True)
 
 
-def _checked(name, array, expected):
+def _checked(name, array, expected, dtype=None):
     """``array``, once it is known to have shape ``expected``, a float
-    dtype and only finite values."""
+    dtype (``dtype`` where one is given) and only finite values."""
     if array.shape != expected:
         raise ValueError(f"{name} has shape {array.shape}, expected {expected}")
     if array.dtype.kind != "f":
         raise ValueError(f"{name} has dtype {array.dtype}, expected a float dtype")
+    if dtype is not None and array.dtype != dtype:
+        raise ValueError(f"{name} has dtype {array.dtype}, expected {np.dtype(dtype)}")
     if not np.isfinite(array).all():
         raise ValueError(f"{name} is not finite")
     return array
@@ -46,9 +48,10 @@ def load_checkpoint(path):
 
     A damaged archive, or one that lacks an array the model needs or holds
     one of another shape than the config, the classes, the vocabulary and
-    the embedding width imply, or a parameter array that is not of a float
-    dtype or not finite, is a ValueError naming the file (and the array).  The config text may also be a unicode string array, as older
-    checkpoints store it.
+    the embedding width imply, or a parameter array that is not finite or
+    not of the config's float dtype, is a ValueError naming the file (and
+    the array).  The config text may also be a unicode string array, as
+    older checkpoints store it.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -58,7 +61,8 @@ def load_checkpoint(path):
             vocab = Vocabulary([str(w) for w in data["vocab_words"]])
             label_set = LabelSet([str(c) for c in data["classes"]])
             state = {name: data[f"model_{name}"] for name in WindowClassifier.STATE}
-            noise = (NoiseMatrix(_checked("noise_b", data["noise_b"], (label_set.k,) * 2),
+            noise = (NoiseMatrix(_checked("noise_b", data["noise_b"], (label_set.k,) * 2,
+                                          config.numpy_dtype),
                                  dtype=config.numpy_dtype) if "noise_b" in data.files else None)
             extras = {}
             if "selected_epoch" in data.files:
@@ -74,7 +78,8 @@ def load_checkpoint(path):
             pooling=config.pooling, dtype=config.numpy_dtype,
         )
         for name, values in state.items():
-            _checked(f"model_{name}", values, getattr(model, name).values.shape)
+            target = getattr(model, name).values
+            _checked(f"model_{name}", values, target.shape, target.dtype)
     except KeyError as err:  # numpy's message names the missing array
         raise ValueError(f"{path}: {err.args[0]}") from None
     except (zipfile.BadZipFile, EOFError, ValueError) as err:

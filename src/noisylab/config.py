@@ -118,10 +118,11 @@ class ExperimentConfig:
                     f"{key} = {value!r} is not one of {', '.join(allowed)}")
         for key in RANGES:
             check_range(key, getattr(self, key))
+        self._label_set = parse_labels(self.labels)
         # only the keys that build the run's channel are checked, so a value
         # that nothing reads never stops a config from loading
         if self.noisy_source == "channel":
-            check_channel(self.channel_kind, self.label_set, self.channel_rho,
+            check_channel(self.channel_kind, self._label_set, self.channel_rho,
                           self.channel_permutation, self.channel_preset,
                           self.channel_matrix_path)
 
@@ -131,7 +132,8 @@ class ExperimentConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
     def label_set(self):
-        return parse_labels(self.labels)
+        """The LabelSet of ``labels``, parsed when the config was made."""
+        return self._label_set
 
     def to_text(self):
         lines = ["# noisylab experiment configuration"]
@@ -163,12 +165,15 @@ class ExperimentConfig:
             ftype = fields[key].type
             if ftype in (bool, "bool"):
                 if value not in ("true", "false"):
-                    raise ValueError(f"line {lineno}: boolean must be true or false")
+                    raise ValueError(f"line {lineno}: {key} = {value!r} is not true or false")
                 values[key] = value == "true"
-            elif ftype in (int, "int"):
-                values[key] = int(value)
-            elif ftype in (float, "float"):
-                values[key] = float(value)
+            elif ftype in (int, "int", float, "float"):
+                number, article = (int, "an") if ftype in (int, "int") else (float, "a")
+                try:
+                    values[key] = number(value)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: {key} = {value!r} is not {article} "
+                                     f"{number.__name__}") from None
             else:
                 values[key] = value
         return cls(**values)

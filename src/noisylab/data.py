@@ -98,26 +98,33 @@ def corpus_windows(corpus: CorpusDocument, vocab, name, label_set=None, y_names=
 
 
 CHANNEL_CONFIG_KEYS = {"rho": "channel_rho", "permutation": "channel_permutation",
-                       "preset": "channel_preset", "matrix": "channel_matrix_path"}
+                       "preset": "channel_preset", "matrix": "channel_matrix_path",
+                       "labels": "labels"}
 
 
 def check_channel(kind, label_set, rho=0.0, permutation="", preset="", matrix_path="",
                   keys=CHANNEL_CONFIG_KEYS):
-    """Check, reading no file, the settings that a channel of ``kind`` reads,
-    naming a bad one by its entry in ``keys``; return a permutation's class
-    indices.  Only that kind calls ``label_set``, which returns the LabelSet."""
+    """Check, reading no file, the settings that a channel of ``kind`` over
+    the classes of the LabelSet ``label_set`` reads, naming a bad one by its
+    entry in ``keys``; return a permutation's class indices."""
+    classes = label_set.classes
     if kind == "uniform" and not 0 <= rho <= 1:
         raise ValueError(f"{keys['rho']} = {rho!r} must be in [0, 1]")
     if kind == "permutation":
-        classes = label_set().classes
         names = [n.strip() for n in permutation.split(",")]
         if sorted(names) != sorted(classes):
             raise ValueError(f"{keys['permutation']} = {permutation!r} "
                              f"must name each of {', '.join(classes)} once")
         return [classes.index(n) for n in names]
-    if kind == "empirical" and not matrix_path and preset not in CHANNEL_PRESETS:
-        raise ValueError(f"{keys['preset']} = {preset!r} is not one of "
-                         f"{', '.join(CHANNEL_PRESETS)}, and no {keys['matrix']} is set")
+    if kind == "empirical" and not matrix_path:
+        if preset not in CHANNEL_PRESETS:
+            raise ValueError(f"{keys['preset']} = {preset!r} is not one of "
+                             f"{', '.join(CHANNEL_PRESETS)}, and no {keys['matrix']} is set")
+        size = CHANNEL_PRESETS[preset].shape[0]
+        if size != len(classes):
+            raise ValueError(f"{keys['preset']} = {preset!r} is a channel over {size} "
+                             f"classes, but {keys['labels']} = {','.join(classes)!r} "
+                             f"has {len(classes)}")
 
 
 def build_channel_spec(kind, label_set, seed, rho=0.0, permutation="", preset="",
@@ -127,7 +134,7 @@ def build_channel_spec(kind, label_set, seed, rho=0.0, permutation="", preset=""
     an empirical channel reads the matrix CSV at ``matrix_path`` when one is
     given, whose classes must be ``label_set``'s, in order, and otherwise
     takes ``noise.CHANNEL_PRESETS[preset]``."""
-    perm = check_channel(kind, lambda: label_set, rho, permutation, preset, matrix_path, keys)
+    perm = check_channel(kind, label_set, rho, permutation, preset, matrix_path, keys)
     if kind == "uniform":
         return NoiseChannelSpec.uniform(rho, k=label_set.k, seed=seed)
     if kind == "permutation":

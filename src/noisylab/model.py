@@ -2,8 +2,10 @@
 the learnable label-noise layer, and the label-cleaning network baseline.
 
 The noise layer and the cleaning network only ever participate in
-training; prediction is the bare classifier's head over the features of
-:meth:`WindowClassifier.infer`, under ``autodiff.no_grad``.
+training.  Training differentiates through :meth:`WindowClassifier.features`;
+prediction is the bare classifier's head over the features of
+:meth:`WindowClassifier.infer`, a scan that keeps no cache for a backward
+pass and owns prediction's chunk, block and plan rules.
 """
 
 from typing import Sequence
@@ -72,24 +74,12 @@ def _unknown_label(name):
     raise ValueError(f"unknown label {name!r}")
 
 
-def build_window(sentence, target_index, pad):
-    """Slice of 2*RADIUS+1 items around ``target_index``, padded with ``pad``."""
-    n = len(sentence)
-    if n == 0:
-        raise ValueError("cannot build a window over an empty sentence")
-    if not 0 <= target_index < n:
-        raise ValueError(f"target index {target_index} outside sentence of length {n}")
-    window = []
-    for pos in range(target_index - WINDOW_RADIUS, target_index + WINDOW_RADIUS + 1):
-        window.append(sentence[pos] if 0 <= pos < n else pad)
-    return window
-
-
 def token_windows(token_ids, lengths, pad_id):
     """Every token's window as an (n, WINDOW_SIZE) int64 array.
 
-    ``token_ids`` holds the sentences of ``lengths`` end to end; row i is
-    :func:`build_window` of token i in its own sentence.  The sentences are
+    ``token_ids`` holds the sentences of ``lengths`` end to end; row i holds
+    the ids from WINDOW_RADIUS before token i to WINDOW_RADIUS after it, with
+    ``pad_id`` in the places outside its own sentence.  The sentences are
     laid out with WINDOW_RADIUS pad ids before, between and after them, so
     each token's window is one slice of that layout.
     """
@@ -123,6 +113,18 @@ class _Network:
         return {name: getattr(self, name).values.copy() for name in self.STATE}
 
     def load_state(self, state):
+        """Copy each array of ``state`` into the tensor of its name.  A name
+        not in STATE, or an array whose shape or dtype differs from its
+        tensor's, is a ValueError naming the array, raised before any
+        tensor is written."""
+        for name, values in state.items():
+            if name not in self.STATE:
+                raise ValueError(f"{name} is not one of {', '.join(self.STATE)}")
+            target = getattr(self, name).values
+            for what, got, expected in (("shape", values.shape, target.shape),
+                                        ("dtype", values.dtype, target.dtype)):
+                if got != expected:
+                    raise ValueError(f"{name} has {what} {got}, expected {expected}")
         for name, values in state.items():
             getattr(self, name).values[...] = values
 
@@ -164,58 +166,21 @@ class WindowClassifier(_Network):
         self.dense_b = Tensor(np.zeros(dense_size, dtype=dtype), requires_grad=True)
         self.out_w = t("out_w", (dense_size, k), dense_size)
         self.out_b = Tensor(np.zeros(k, dtype=dtype), requires_grad=True)
+        self._directions = ((self.fw_in, self.fw_rec, self.fw_bias),
+                            (self.bw_in, self.bw_rec, self.bw_bias))
 
-    def features(self, token_ids, plans=None, chunk=None):
-        """BiLSTM window representation as a Tensor of shape (B, 2H).
+    def features(self, token_ids):
+        """BiLSTM window representation as a graph Tensor of shape (B, 2H),
+        for training (:func:`noisylab.autodiff.bilstm_last`).
 
         Each direction scans its ids (the backward one the window reversed)
-        for ``steps`` tokens and reads its last state.  In training the two
-        scans run at once where :func:`noisylab.parallel.concurrent` allows
-        it for B x 4H.  Under ``autodiff.no_grad`` nothing will be
-        differentiated, so the scan is the cache-free prediction one, over
-        chunks of ``chunk`` rows (all rows by default): each direction
-        projects the distinct tokens of all rows once, and then advances
-        each distinct window prefix of each chunk once, one task per chunk
-        and direction.  The two projections, and then the tasks, run on two
-        workers where ``concurrent`` allows it for chunk x 4H; each worker
-        takes the next task when it is done with one.  The prefix plans come
-        from ``plans``, a dict that a caller scoring the same ids again
-        keeps for them: the plans of this model's step count and this chunk
-        size are read from it, or built and stored in it.  Without one they
-        are built for this call.
+        for ``steps`` tokens and reads its last state.  The two scans run at
+        once where :func:`noisylab.parallel.concurrent` allows it for B x 4H.
+        Prediction reads the same values from :meth:`infer`'s scan.
         """
         ids = np.atleast_2d(token_ids)
-        steps = self.steps
-        scans = (ids, ids[:, ::-1])
-        directions = ((self.fw_in, self.fw_rec, self.fw_bias),
-                      (self.bw_in, self.bw_rec, self.bw_bias))
-        if ad.is_grad_enabled():
-            return ad.bilstm_last(self.embedding, [scan[:, :steps] for scan in scans],
-                                  directions)
-        if plans is None:
-            plans = {}
-        if (steps, chunk) not in plans:
-            plans[steps, chunk] = [kernels.prefix_plan(scan, steps, chunk) for scan in scans]
-        plans = plans[steps, chunk]
-        table = self.embedding.values
-        B, H = ids.shape[0], self.hidden_size
-        chunk = chunk or max(B, 1)
-        at_once = parallel.concurrent(min(chunk, B), 4 * H)
-
-        def project(d):
-            w_in, _, bias = directions[d]
-            return kernels.project(table.take(plans[d].tokens, axis=0), w_in.values, bias.values)
-
-        def scan(task):
-            d, i = task
-            feats[i * chunk:(i + 1) * chunk, d * H:(d + 1) * H] = kernels.lstm_last_hidden(
-                proj[d], plans[d].chunks[i], directions[d][1].values)
-
-        proj = parallel.both(lambda: project(0), lambda: project(1), at_once)
-        feats = np.empty((B, 2 * H), table.dtype)
-        parallel.each(scan, ((d, i) for i in range(len(plans[0].chunks)) for d in (0, 1)),
-                      at_once)
-        return Tensor(feats)
+        scans = [ids[:, :self.steps], ids[:, ::-1][:, :self.steps]]
+        return ad.bilstm_last(self.embedding, scans, self._directions)
 
     def head(self, features):
         """Class distributions (B, k) from window features (B, 2H)."""
@@ -227,47 +192,76 @@ class WindowClassifier(_Network):
         """Class distributions as a Tensor of shape (B, k)."""
         return self.head(self.features(token_ids))
 
-    def infer(self, token_ids, fn, chunk=None, kept=None):
-        """The no-grad forward path: ``fn(rows, features)`` of each chunk of
-        ``chunk`` rows (all rows by default), where ``rows`` is the chunk's
-        slice of ``token_ids`` and ``features`` its :meth:`features` Tensor;
-        the results are concatenated along axis 0.  No rows are one empty
-        chunk.
+    def infer(self, token_ids, fn, eval_batch=None, plans=None):
+        """The prediction path: ``fn(rows, features)`` of each chunk, where
+        ``rows`` is the chunk's slice of ``token_ids`` and ``features`` a
+        constant Tensor of its :meth:`features` values; the results are
+        concatenated along axis 0.  No rows are one empty chunk.
 
-        The rows are scanned in blocks of PREDICT_BLOCK rows, rounded down
-        to whole chunks (one chunk at least), each one call of
-        :meth:`features`: two hand-overs to the worker per block (the
-        projections, then the scan tasks), not per chunk, and one block's
-        features alive at a time.  ``kept``, a dict that a caller scoring
-        the same ids again passes each time, keeps each block's prefix
-        plans.
+        A chunk is ``eval_batch`` rows (all rows by default), or half of them
+        where two workers may scan ``eval_batch`` rows at once, so that at
+        most ``eval_batch`` rows are scanned at a time.  The rows are scanned
+        in blocks of PREDICT_BLOCK rows, rounded down to whole chunks, with
+        no cache for a backward pass.  In a block each direction projects
+        the distinct tokens once and then advances each distinct window
+        prefix of each chunk once, one task per chunk and direction.  Where
+        :func:`noisylab.parallel.concurrent` allows it for chunk x 4H, the
+        two projections, and then the tasks, run on two workers, each taking
+        the next task when done with one.  A block's prefix plans are read
+        from ``plans``, a dict keyed by (steps, chunk, block start) that a
+        caller scoring the same ids again passes each time, or built and
+        stored in it.
         """
         ids = np.atleast_2d(token_ids)
-        chunk = chunk or max(ids.shape[0], 1)
+        steps, H = self.steps, self.hidden_size
+        chunk = eval_batch or max(ids.shape[0], 1)
+        if eval_batch and parallel.concurrent(eval_batch, 4 * H):
+            chunk = max(eval_batch // 2, 1)
         block = max(PREDICT_BLOCK // chunk, 1) * chunk
+        plans = {} if plans is None else plans
+        table, directions = self.embedding.values, self._directions
         out = []
-        with ad.no_grad():
-            for start in range(0, max(ids.shape[0], 1), block):
-                plans = None if kept is None else kept.setdefault(start, {})
-                feats = self.features(ids[start:start + block], plans, chunk).values
-                for offset in range(0, max(feats.shape[0], 1), chunk):
-                    rows = slice(start + offset, start + offset + chunk)
-                    out.append(fn(rows, Tensor(feats[offset:offset + chunk])))
+        for start in range(0, max(ids.shape[0], 1), block):
+            rows = ids[start:start + block]
+            key = (steps, chunk, start)
+            if key not in plans:
+                plans[key] = [kernels.prefix_plan(scan, steps, chunk)
+                              for scan in (rows, rows[:, ::-1])]
+            plan = plans[key]
+            at_once = parallel.concurrent(min(chunk, rows.shape[0]), 4 * H)
+
+            def project(d):
+                w_in, _, bias = directions[d]
+                return kernels.project(table.take(plan[d].tokens, axis=0), w_in.values,
+                                       bias.values)
+
+            def scan(task):
+                d, i = task
+                feats[i * chunk:(i + 1) * chunk, d * H:(d + 1) * H] = kernels.lstm_last_hidden(
+                    proj[d], plan[d].chunks[i], directions[d][1].values)
+
+            proj = parallel.both(lambda: project(0), lambda: project(1), at_once)
+            feats = np.empty((rows.shape[0], 2 * H), table.dtype)
+            parallel.each(scan, ((d, i) for i in range(len(plan[0].chunks)) for d in (0, 1)),
+                          at_once)
+            for offset in range(0, max(feats.shape[0], 1), chunk):
+                out.append(fn(slice(start + offset, start + offset + chunk),
+                              Tensor(feats[offset:offset + chunk])))
         return np.concatenate(out)
 
     def infer_features(self, token_ids):
-        """:meth:`features` under ``no_grad``, as an array."""
+        """The values of :meth:`features`, from :meth:`infer`'s scan, as an array."""
         return self.infer(token_ids, lambda rows, feats: feats.values)
 
-    def predict(self, token_ids, chunk=None, kept=None):
+    def predict(self, token_ids, eval_batch=None, plans=None):
         """Predicted class per window; ties break toward the lowest index.
-        ``chunk`` and ``kept`` as in :meth:`infer`.
+        ``eval_batch`` and ``plans`` as in :meth:`infer`.
 
         The noise layer and the cleaning network never participate here.
         """
         return self.infer(token_ids,
                           lambda rows, feats: np.argmax(self.head(feats).values, axis=-1),
-                          chunk, kept)
+                          eval_batch, plans)
 
 
 def theta_from_b(b):

@@ -11,6 +11,10 @@ trains through the noise layer on the full noisy set only, initializing
 from the confusion between a noisy-pretrained model's predictions and the
 noisy labels.  noise-cleaning-model trains a label cleaning network on C
 each epoch and then trains the base model on cleaned noisy data plus C.
+
+Training steps differentiate through ``WindowClassifier.probs``; every
+prediction goes through ``WindowClassifier.infer``, which is passed
+``eval_batch_size`` as it is and picks its chunks from it.
 """
 
 import dataclasses
@@ -167,32 +171,23 @@ def _clean_noisy_labels(model, cleaner, noisy_split, indices, k, eval_batch):
     dtype = cleaner.proj_w.values.dtype
     vec = model.infer(
         ids, lambda rows, feats: cleaner.forward(feats, one_hot(z[rows], k, dtype=dtype)).values,
-        _chunk_rows(model, eval_batch))
+        eval_batch)
     cleaned = np.argmax(vec, axis=1)
     dead = vec.sum(axis=1) <= 0.0
     cleaned[dead] = z[dead]
     return ids, cleaned
 
 
-def _chunk_rows(model, eval_batch):
-    """Rows per chunk of a prediction: half of ``eval_batch`` where the two
-    directions of a chunk that large may run at once, so that at most
-    ``eval_batch`` rows are scanned at a time."""
-    if parallel.concurrent(eval_batch, 4 * model.hidden_size):
-        return max(eval_batch // 2, 1)
-    return eval_batch
-
-
 @parallel.one_blas_thread()
 def predict_split(model, split, eval_batch, kept=None):
     """Predicted class of every window of ``split``; counts as one read.
 
-    Each distinct window is predicted once, in chunks of ``eval_batch``
-    rows (see :func:`_chunk_rows`), through ``model.predict``, and its
-    prediction is scattered back to every place it occurs.  ``kept``, a
-    dict that a caller predicting the split again passes each time, holds
-    the distinct rows and their prefix plans after the first call; without
-    one they are worked out for this call.  BLAS runs on one thread
+    Each distinct window is predicted once, through ``model.predict`` with
+    ``eval_batch`` (see :meth:`WindowClassifier.infer`), and its prediction
+    is scattered back to every place it occurs.  ``kept``, a dict that a
+    caller predicting the split again passes each time, holds the distinct
+    rows and their prefix plans after the first call; without one they are
+    worked out for this call.  BLAS runs on one thread
     (:mod:`noisylab.parallel`).
     """
     kept = {} if kept is None else kept
@@ -201,7 +196,7 @@ def predict_split(model, split, eval_batch, kept=None):
         rows, inverse = np.unique(ids, axis=0, return_inverse=True)
         kept["distinct"] = rows, inverse.reshape(-1)
     rows, inverse = kept["distinct"]
-    preds = model.predict(rows, _chunk_rows(model, eval_batch), kept.setdefault("plans", {}))
+    preds = model.predict(rows, eval_batch, kept.setdefault("plans", {}))
     return preds[inverse]
 
 

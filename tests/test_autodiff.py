@@ -192,10 +192,11 @@ class TestBackwardSemantics:
 
 
 class TestNoGrad:
+    """An op none of whose inputs requires a gradient records no graph."""
+
     def test_ops_record_no_parents(self):
-        w = Tensor(np.ones((2, 2)), requires_grad=True)
-        with ad.no_grad():
-            out = ad.softmax(ad.add(ad.matmul(Tensor(np.ones((3, 2))), w), 1.0))
+        w = Tensor(np.ones((2, 2)))
+        out = ad.softmax(ad.add(ad.matmul(Tensor(np.ones((3, 2))), w), 1.0))
         assert out._parents == ()
         assert not out.requires_grad
         np.testing.assert_allclose(out.values, 0.5)
@@ -207,21 +208,13 @@ class TestNoGrad:
 
     def test_values_match_the_recording_mode(self):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        values = rng.standard_normal((4, 3))
         m = Tensor(rng.standard_normal((3, 2)))
-        recorded = ad.relu(ad.matmul(x, m))
-        with ad.no_grad():
-            plain = ad.relu(ad.matmul(x, m))
+        recorded = ad.relu(ad.matmul(Tensor(values, requires_grad=True), m))
+        plain = ad.relu(ad.matmul(Tensor(values), m))
         np.testing.assert_array_equal(plain.values, recorded.values)
         assert recorded.requires_grad and recorded._parents
-
-    def test_nested_blocks_restore_the_previous_mode(self):
-        assert ad.is_grad_enabled()
-        with ad.no_grad():
-            with ad.no_grad():
-                assert not ad.is_grad_enabled()
-            assert not ad.is_grad_enabled()
-        assert ad.is_grad_enabled()
+        assert plain._parents == ()
 
     # every op acceptance C1 checks, plus those the losses are built from
     OPS = {
@@ -265,22 +258,11 @@ class TestNoGrad:
         op = self.OPS[name]
         recorded = op(self.operands(requires_grad=True))
         assert recorded.requires_grad and recorded._parents and recorded._backward
-        with ad.no_grad():
-            unrecorded = op(self.operands(requires_grad=True))
         constant = op(self.operands(requires_grad=False))
-        for out in (unrecorded, constant):
-            assert not out.requires_grad
-            assert out._parents == ()
-            assert out._backward is None
-            np.testing.assert_array_equal(out.values, recorded.values)
-
-    def test_mode_restored_after_an_exception(self):
-        with pytest.raises(RuntimeError):
-            with ad.no_grad():
-                raise RuntimeError("inside")
-        assert ad.is_grad_enabled()
-        x = Tensor(np.ones(2), requires_grad=True)
-        assert ad.mul(x, 2.0)._parents
+        assert not constant.requires_grad
+        assert constant._parents == ()
+        assert constant._backward is None
+        np.testing.assert_array_equal(constant.values, recorded.values)
 
 
 class TestTensorValues:

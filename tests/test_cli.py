@@ -139,7 +139,10 @@ class TestSimulateNoise:
         (["--kind", "permutation", "--permutation", "O,PER,ORG,LOC,MISX"],
          "--permutation = 'O,PER,ORG,LOC,MISX' must name each of "
          "O, PER, ORG, LOC, MISC once"),
-    ], ids=["preset", "rho", "permutation"])
+        (["--labels", "O,A,B", "--preset", "gazetteer-like"],
+         "--preset = 'gazetteer-like' is a channel over 5 classes, "
+         "but --labels = 'O,A,B' has 3"),
+    ], ids=["preset", "rho", "permutation", "preset-size"])
     def test_bad_channel_flag_exits_2_naming_it(self, toy_dir, tmp_path, capsys, flags,
                                                 message):
         out = tmp_path / "noisy.conll"
@@ -335,6 +338,23 @@ class TestConfigRejected:
         assert "error: dtype = 'flaot32' is not one of float32, float64" in err
         assert not (tmp_path / "run").exists()
 
+
+    @pytest.mark.parametrize("key, bad, kind", [
+        ("epochs", "x", "an int"),
+        ("learning_rate", "fast", "a float"),
+    ])
+    def test_value_that_does_not_parse_exits_2_naming_line_and_key(
+            self, tiny_config_text, tmp_path, capsys, key, bad, kind):
+        lines = tiny_config_text.split("\n")
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} = "))
+        lines[lineno - 1] = f"{key} = {bad}"
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("\n".join(lines), encoding="utf-8")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert (f"error: line {lineno}: {key} = {bad!r} is not {kind}\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     def test_zero_eval_batch_size_exits_2_before_training(self, tiny_config_text,
                                                           tmp_path, capsys):

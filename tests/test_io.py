@@ -309,6 +309,10 @@ class TestExperimentConfig:
                 strategy = st.floats(0, 1, exclude_max=True)
             elif f.type in (float, "float"):
                 strategy = st.floats(0, 1e300, exclude_min=f.name in RANGES)
+            elif f.name == "labels":  # a label set: O and at least one other class
+                strategy = st.lists(st.sampled_from(("PER", "ORG", "LOC", "MISC", "Ü")),
+                                    min_size=1, unique=True).flatmap(
+                    lambda names: st.permutations(["O", *names])).map(",".join)
             else:  # the reader strips a value's surrounding spaces
                 strategy = text.map(str.strip)
             values[f.name] = data.draw(strategy, label=f.name)
@@ -321,6 +325,7 @@ class TestExperimentConfig:
             values["channel_permutation"] = ",".join(data.draw(
                 st.permutations(LabelSet().classes), label="channel_permutation"))
         elif kind == "empirical" and not values["channel_matrix_path"]:
+            values["labels"] = "O,PER,ORG,LOC,MISC"  # the preset's size
             values["channel_preset"] = "gazetteer-like"
         config = ExperimentConfig(**values)
         assert ExperimentConfig.from_text(config.to_text()) == config
@@ -348,8 +353,20 @@ class TestExperimentConfig:
         assert config.seed == 5
 
     def test_label_set(self):
-        config = ExperimentConfig(labels="O,A,B")
+        config = ExperimentConfig(labels="O,A,B", channel_kind="uniform")
         assert config.label_set().classes == ("O", "A", "B")
+
+    @pytest.mark.parametrize("key, bad, kind", [
+        ("epochs", "x", "an int"),
+        ("seed", "1.5", "an int"),
+        ("learning_rate", "fast", "a float"),
+        ("channel_rho", "", "a float"),
+        ("trainable_embeddings", "yes", "true or false"),
+    ])
+    def test_value_that_does_not_parse_names_line_and_key(self, key, bad, kind):
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_text(f"# comment\n{key} = {bad}\n")
+        assert str(err.value) == f"line 2: {key} = {bad!r} is not {kind}"
 
     @pytest.mark.parametrize("key, bad, good", [
         ("dtype", "flaot32", "float32"),
@@ -425,8 +442,11 @@ class TestExperimentConfig:
          "channel_rho = 1.5 must be in [0, 1]"),
         ({"channel_kind": "uniform", "channel_rho": -0.1},
          "channel_rho = -0.1 must be in [0, 1]"),
+        ({"labels": "O,A,B"},
+         "channel_preset = 'gazetteer-like' is a channel over 5 classes, "
+         "but labels = 'O,A,B' has 3"),
     ], ids=["preset", "unknown-class", "missing-class", "repeated-class", "rho-above",
-            "rho-below"])
+            "rho-below", "preset-size"])
     def test_bad_channel_key_rejected(self, keys, message):
         text = "".join(f"{key} = {value}\n" for key, value in keys.items())
         for make in (lambda: ExperimentConfig(**keys),
@@ -611,7 +631,11 @@ class TestCheckpointSave:
         ("model_fw_in", lambda a: a.astype(np.int64),
          "model_fw_in has dtype int64, expected a float dtype"),
         ("noise_b", lambda a: a.astype(bool), "noise_b has dtype bool, expected a float dtype"),
-    ], ids=["embedding-nan", "out_b-inf", "noise_b-nan", "fw_in-int64", "noise_b-bool"])
+        ("model_fw_bias", lambda a: a.astype(np.float32),
+         "model_fw_bias has dtype float32, expected float64"),
+        ("noise_b", lambda a: a.astype(np.float32), "noise_b has dtype float32, expected float64"),
+    ], ids=["embedding-nan", "out_b-inf", "noise_b-nan", "fw_in-int64", "noise_b-bool",
+            "fw_bias-float32", "noise_b-float32"])
     def test_array_not_finite_or_not_float_is_a_value_error_naming_it(self, tmp_path, array,
                                                                        edit, message):
         from noisylab.checkpoint import load_checkpoint

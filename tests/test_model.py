@@ -10,16 +10,30 @@ import noisylab.autodiff as ad
 from noisylab import kernels
 from noisylab.autodiff import Tensor, cross_entropy, gradient_check
 from noisylab.model import (
+    WINDOW_RADIUS,
     CleaningNetwork,
     LabelSet,
     NoiseMatrix,
     WindowClassifier,
-    build_window,
     noisy_forward,
     one_hot,
     theta_from_b,
     token_windows,
 )
+
+
+def build_window(sentence, target_index, pad):
+    """The oracle of token_windows: the 2*RADIUS+1 items around
+    ``target_index``, padded with ``pad``, one position at a time."""
+    n = len(sentence)
+    if n == 0:
+        raise ValueError("cannot build a window over an empty sentence")
+    if not 0 <= target_index < n:
+        raise ValueError(f"target index {target_index} outside sentence of length {n}")
+    window = []
+    for pos in range(target_index - WINDOW_RADIUS, target_index + WINDOW_RADIUS + 1):
+        window.append(sentence[pos] if 0 <= pos < n else pad)
+    return window
 
 
 def tiny_model(seed=0, vocab=11, embed=4, hidden=3, dense=2, k=3, **kw):
@@ -209,10 +223,8 @@ class TestBaseForward:
         ids = rng.integers(0, 11, size=(6, 7))
         for pooling in ("final", "center"):
             model = tiny_model(pooling=pooling)
-            with ad.no_grad():
-                scanned = model.probs(ids)
-            assert scanned._parents == ()
-            np.testing.assert_allclose(scanned.values, model.probs(ids).values, atol=1e-14)
+            scanned = model.infer(ids, lambda rows, feats: model.head(feats).values)
+            np.testing.assert_allclose(scanned, model.probs(ids).values, atol=1e-14)
 
     def test_matches_straight_line_reimplementation(self):
         model = tiny_model(seed=7)
@@ -249,9 +261,8 @@ class TestBaseForward:
         final = tiny_model(seed=1)
         center = tiny_model(seed=1, pooling="center")
         ids = np.array([[1, 2, 3, 4, 5, 6, 7]])
-        with ad.no_grad():
-            p_final = final.probs(ids).values
-            p_center = center.probs(ids).values
+        p_final = final.probs(ids).values
+        p_center = center.probs(ids).values
         np.testing.assert_allclose(p_center.sum(axis=1), 1.0, atol=1e-12)
         assert not np.allclose(p_final, p_center)
 
@@ -305,6 +316,31 @@ class TestCleaningNetwork:
         combined = np.concatenate([projected, onehot], axis=1)
         expected = np.clip(combined @ cleaner.comb_w.values + cleaner.comb_b.values + onehot, 0, 1)
         np.testing.assert_allclose(cleaner.forward(feats, onehot).values, expected, atol=1e-10)
+
+
+class TestLoadState:
+    def test_state_dict_round_trip(self):
+        source, target = tiny_model(seed=1), tiny_model(seed=2)
+        target.load_state(source.state_dict())
+        for name, values in source.state_dict().items():
+            np.testing.assert_array_equal(getattr(target, name).values, values)
+
+    @pytest.mark.parametrize("name, values, message", [
+        ("fw_bias", np.zeros(1), "fw_bias has shape (1,), expected (12,)"),
+        ("out_w", np.zeros((2, 3), np.float32), "out_w has dtype float32, expected float64"),
+        ("noise_b", np.eye(3), "noise_b is not one of embedding, fw_in, fw_rec, fw_bias, "
+                               "bw_in, bw_rec, bw_bias, dense_w, dense_b, out_w, out_b"),
+    ], ids=["bias-shape", "dtype", "unknown-name"])
+    def test_bad_array_is_refused_naming_it(self, name, values, message):
+        model = tiny_model()
+        before = model.state_dict()
+        # every other array differs, and the bad one comes after some of them
+        state = {**tiny_model(seed=5).state_dict(), name: values}
+        with pytest.raises(ValueError) as err:
+            model.load_state(state)
+        assert str(err.value) == message
+        for key, values in model.state_dict().items():
+            np.testing.assert_array_equal(values, before[key])
 
 
 class TestPredict:

@@ -8,7 +8,7 @@ import pytest
 
 from noisylab import kernels
 from noisylab import model as model_module
-from noisylab.autodiff import no_grad
+from noisylab.autodiff import Tensor
 from noisylab.config import ExperimentConfig
 from noisylab.data import prepare
 from noisylab.model import PREDICT_BLOCK, CleaningNetwork, NoiseMatrix
@@ -465,9 +465,7 @@ class TestEvaluateSplit:
         assert len(gold_of) < len(split), "fixture needs repeated windows"
 
         class Oracle:
-            hidden_size = 1  # predict_split sizes its chunks by the model's width
-
-            def predict(self, ids, chunk=None, kept=None):
+            def predict(self, ids, eval_batch=None, plans=None):
                 return np.array([gold_of[window.tobytes()] for window in ids])
 
         f1, report = evaluate_split(Oracle(), split, tiny_data.label_set, 64)
@@ -520,12 +518,12 @@ class TestPredictSplit:
         for _ in range(2):  # builds the plans, then reuses them
             np.testing.assert_array_equal(predict_split(model, split, 64, kept), inline)
         np.testing.assert_array_equal(kept["distinct"][0], rows)
-        assert rows.shape[0] <= PREDICT_BLOCK  # one block, whose plans are kept[...][0]
-        with no_grad():
-            features = model.features(rows, None, 64)
-            from_kept = model.features(rows, kept["plans"][0], 64)
-        assert features.values.dtype == dtype
-        np.testing.assert_array_equal(from_kept.values, features.values)
+        assert rows.shape[0] <= PREDICT_BLOCK  # one block, which starts at row 0
+        assert sorted(kept["plans"]) == [(model.steps, 64, 0)]
+        features = model.infer(rows, lambda r, f: f.values, 64)
+        from_kept = model.infer(rows, lambda r, f: f.values, 64, kept["plans"])
+        assert features.dtype == dtype
+        np.testing.assert_array_equal(from_kept, features)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("pooling", ["final", "center"])
@@ -539,16 +537,16 @@ class TestPredictSplit:
         assert rows.shape[0] > 3 * 100  # a split of several blocks
         # blocks of three chunks, of two, and of one chunk larger than the bound
         for chunk in (32, 40, 150):
-            with no_grad():  # the oracle: each chunk scanned on its own
-                per_chunk = [model.features(rows[s:s + chunk])
-                             for s in range(0, rows.shape[0], chunk)]
+            # the oracle: each chunk scanned on its own, as one chunk of one block
+            per_chunk = [model.infer_features(rows[s:s + chunk])
+                         for s in range(0, rows.shape[0], chunk)]
             features = model.infer(rows, lambda r, f: f.values, chunk)
             assert features.dtype == dtype
-            np.testing.assert_array_equal(features,
-                                          np.concatenate([f.values for f in per_chunk]))
+            np.testing.assert_array_equal(features, np.concatenate(per_chunk))
             np.testing.assert_array_equal(
                 model.predict(rows, chunk),
-                np.concatenate([np.argmax(model.head(f).values, axis=-1) for f in per_chunk]))
+                np.concatenate([np.argmax(model.head(Tensor(f)).values, axis=-1)
+                                for f in per_chunk]))
 
     def test_plans_kept_per_step_count(self, tiny_data):
         from noisylab.model import WindowClassifier
@@ -561,7 +559,7 @@ class TestPredictSplit:
         for _ in range(2):  # one split scored by both poolings keeps plans for both
             for model, expected in zip(models, inline):
                 np.testing.assert_array_equal(predict_split(model, split, 64, kept), expected)
-        assert sorted(kept["plans"][0]) == [(4, 64), (7, 64)]
+        assert sorted(kept["plans"]) == [(4, 64, 0), (7, 64, 0)]
 
     def test_plans_built_once_per_block_and_direction(self, tiny_data, monkeypatch):
         built = []
