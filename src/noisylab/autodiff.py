@@ -60,11 +60,6 @@ class Tensor:
             self._grad = np.zeros_like(self.values)
         return self._grad
 
-    @grad.setter
-    def grad(self, value):
-        # written into the existing buffer, which may be a view into a pack
-        self.grad[...] = np.reshape(value, self.values.shape)
-
     def zero_grad(self):
         if self._grad is not None:
             self._grad[...] = 0.0
@@ -359,10 +354,12 @@ def bilstm_last(table, scans, directions):
     and its backward pass can run the two directions, independent until
     here, at once: the second on the worker thread where
     :func:`noisylab.parallel.concurrent` allows it for B x 4H.  In the
-    backward pass a direction adds the gradients of its weights that are
-    leaves straight into their ``grad`` buffers, on the thread that computed
-    them, and hands only the others to the engine; so a leaf weight that
-    the graph also uses elsewhere gets the same sum, added in another order.
+    backward pass a direction's kernel adds the gradient of each of its
+    weights that is a leaf straight into its ``grad`` buffer as soon as it
+    is computed (``kernels.lstm_backward``'s ``grads``), on the thread that
+    computed it, and hands only the others to the engine; so a leaf weight
+    that the graph also uses elsewhere gets the same sum, added in another
+    order.
     """
     table = _as_tensor(table)
     weights = [tuple(map(_as_tensor, w)) for w in directions]
@@ -403,12 +400,10 @@ def bilstm_last(table, scans, directions):
             (w_in, w_rec, _), (x, caches) = weights[i], scans_out[i]
             dh_all = np.zeros((B, T, H), x.dtype)
             dh_all[:, -1] = g[:, i * H:(i + 1) * H]
+            grads = [w.grad if direct and w.requires_grad and not w._parents else None
+                     for w in weights[i]]
             dx, *dw = kernel(x, w_in.values, w_rec.values, *caches, dh_all,
-                             table.requires_grad)
-            for k, (w, d) in enumerate(zip(weights[i], dw)):
-                if direct and w.requires_grad and not w._parents:
-                    np.add(w.grad, d, out=w.grad)
-                    dw[k] = None
+                             table.requires_grad, grads=grads)
             dt = None
             if dx is not None:
                 dt = np.zeros_like(table.values)
@@ -417,7 +412,9 @@ def bilstm_last(table, scans, directions):
 
         (dt0, dw0), (dt1, dw1) = parallel.both(
             lambda: direction(0, kernels.lstm_backward), lambda: direction(1, bwd), at_once)
-        return (None if dt0 is None else dt0 + dt1, *dw0, *dw1)
+        if dt0 is not None:
+            dt0 += dt1
+        return (dt0, *dw0, *dw1)
 
     out = np.concatenate([caches[0][:, -1] for _, caches in scans_out], axis=1)
     return _node("bilstm_last", out, (table, *weights[0], *weights[1]), _back)

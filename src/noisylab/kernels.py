@@ -184,10 +184,23 @@ def lstm_last_hidden(proj, chunk, w_rec):
     return h.take(out, axis=0)
 
 
-def lstm_backward(x, w_in, w_rec, h_all, c_all, tc_all, gates, dh_all, need_dx):
+def _add_into(buffer, value):
+    """``value``, or None once it is added into ``buffer`` where one is given."""
+    if buffer is None:
+        return value
+    np.add(buffer, value, out=buffer)
+    return None
+
+
+def lstm_backward(x, w_in, w_rec, h_all, c_all, tc_all, gates, dh_all, need_dx,
+                  grads=None):
     """Backpropagate dh_all (B, T, H) through the scan of ``lstm_forward``.
 
     Returns (dx, dw_in, dw_rec, dbias); dx is None when need_dx is False.
+    ``grads``, when given, is (g_in, g_rec, g_bias), each an array or None:
+    a weight's gradient is added into its array as soon as it is computed
+    (dw_in, then dw_rec, then dbias) and None is returned in its place, so
+    at most one weight-gradient temporary is alive at a time.
 
     Each gate derivative is a local factor, read from the caches, times dc
     (input, forget and cell blocks) or dh (output block).  The local
@@ -238,13 +251,14 @@ def lstm_backward(x, w_in, w_rec, h_all, c_all, tc_all, gates, dh_all, need_dx):
             dc *= gf[t]
     da_flat = da_all.reshape(T * B, 4 * H)
     xs = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(T * B, E)
-    dw_in = np.dot(xs.T, da_flat)
+    g_in, g_rec, g_bias = grads or (None, None, None)
+    dw_in = _add_into(g_in, np.dot(xs.T, da_flat))
     if T > 1:
         h_prev = h_all.transpose(1, 0, 2)[:T - 1].reshape((T - 1) * B, H)
-        dw_rec = np.dot(h_prev.T, da_flat[B:])
+        dw_rec = _add_into(g_rec, np.dot(h_prev.T, da_flat[B:]))
     else:
-        dw_rec = np.zeros_like(w_rec)
-    dbias = da_flat.sum(0)
+        dw_rec = _add_into(g_rec, np.zeros_like(w_rec))
+    dbias = _add_into(g_bias, da_flat.sum(0))
     dx = None
     if need_dx:
         dx = np.dot(da_flat, w_in.T).reshape(T, B, E).transpose(1, 0, 2)

@@ -205,18 +205,19 @@ class WindowClassifier(_Network):
         no cache for a backward pass.  In a block each direction projects
         the distinct tokens once and then advances each distinct window
         prefix of each chunk once, one task per chunk and direction.  Where
-        :func:`noisylab.parallel.concurrent` allows it for chunk x 4H, the
-        two projections, and then the tasks, run on two workers, each taking
-        the next task when done with one.  A block's prefix plans are read
-        from ``plans``, a dict keyed by (steps, chunk, block start) that a
-        caller scoring the same ids again passes each time, or built and
-        stored in it.
+        :func:`noisylab.parallel.concurrent` allows it for the call's largest
+        chunk x 4H (decided once per call), the two projections, and then the
+        tasks, run on two workers, each taking the next task when done with
+        one.  A block's prefix plans are read from ``plans``, a dict keyed by
+        (steps, chunk, block start) that a caller scoring the same ids again
+        passes each time, or built and stored in it.
         """
         ids = np.atleast_2d(token_ids)
         steps, H = self.steps, self.hidden_size
         chunk = eval_batch or max(ids.shape[0], 1)
         if eval_batch and parallel.concurrent(eval_batch, 4 * H):
             chunk = max(eval_batch // 2, 1)
+        at_once = parallel.concurrent(min(chunk, ids.shape[0]), 4 * H)
         block = max(PREDICT_BLOCK // chunk, 1) * chunk
         plans = {} if plans is None else plans
         table, directions = self.embedding.values, self._directions
@@ -228,7 +229,6 @@ class WindowClassifier(_Network):
                 plans[key] = [kernels.prefix_plan(scan, steps, chunk)
                               for scan in (rows, rows[:, ::-1])]
             plan = plans[key]
-            at_once = parallel.concurrent(min(chunk, rows.shape[0]), 4 * H)
 
             def project(d):
                 w_in, _, bias = directions[d]

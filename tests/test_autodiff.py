@@ -290,13 +290,6 @@ class TestTensorValues:
         assert t.values.dtype == np.float64
         np.testing.assert_array_equal(t.values, [1.5, -3.0])
 
-    def test_grad_setter_writes_into_existing_buffer(self):
-        t = Tensor(np.zeros((2, 3)), requires_grad=True)
-        buffer = t.grad
-        t.grad = np.arange(6)
-        assert t.grad is buffer
-        np.testing.assert_array_equal(buffer, np.arange(6.0).reshape(2, 3))
-
 
 class TestSoftmaxProperties:
     def test_rows_sum_to_one_and_positive(self):

@@ -329,6 +329,33 @@ def test_backward_keeps_float32():
     dh_all = rng.standard_normal((3, 7, 3)).astype(np.float32)
     grads = kernels.lstm_backward(x, w_in, w_rec, *caches, dh_all, True)
     assert [g.dtype for g in grads] == [np.float32] * 4
+    buffers = [np.zeros_like(w_in), None, np.zeros_like(bias)]
+    dx, dw_in, dw_rec, dbias = kernels.lstm_backward(x, w_in, w_rec, *caches, dh_all, True,
+                                                     grads=buffers)
+    assert dw_in is None and dbias is None
+    assert [a.dtype for a in (dx, dw_rec, buffers[0], buffers[2])] == [np.float32] * 4
+
+
+@pytest.mark.parametrize("t", [1, 7])
+@pytest.mark.parametrize("given", [(a, b, c) for a in (False, True) for b in (False, True)
+                                   for c in (False, True)])
+def test_backward_adds_each_given_gradient_into_its_buffer(given, t):
+    rng = np.random.default_rng(12)
+    x, w_in, w_rec, bias = make_inputs(rng, b=4, t=t)
+    caches = kernels.lstm_forward(x, w_in, w_rec, bias)
+    dh_all = rng.standard_normal((4, t, 3))
+    want = kernels.lstm_backward(x, w_in, w_rec, *caches, dh_all, True)
+    prefill = [rng.standard_normal(w.shape) if g else None
+               for w, g in zip((w_in, w_rec, bias), given)]
+    buffers = [None if p is None else p.copy() for p in prefill]
+    got = kernels.lstm_backward(x, w_in, w_rec, *caches, dh_all, True, grads=buffers)
+    assert got[0].tobytes() == want[0].tobytes()
+    for k in range(3):
+        if given[k]:
+            assert got[k + 1] is None
+            assert buffers[k].tobytes() == (prefill[k] + want[k + 1]).tobytes()
+        else:
+            assert got[k + 1].tobytes() == want[k + 1].tobytes()
 
 
 def test_two_backward_passes_give_twice_the_gradient():

@@ -38,9 +38,9 @@ def worker_threads(monkeypatch):
     for name in ("_lstm_forward", "_lstm_backward"):
         kernel = getattr(kernels, name)
 
-        def spy(*args, kernel=kernel):
+        def spy(*args, kernel=kernel, **kwargs):
             seen.append(threading.current_thread().name)
-            return kernel(*args)
+            return kernel(*args, **kwargs)
 
         monkeypatch.setattr(kernels, name, spy)
     return seen
@@ -248,6 +248,37 @@ class TestBilstmLast:
         got = value_and_grads(scaled(ad.bilstm_last), table, directions, scans, coeffs)
         assert_identical(got, value_and_grads(scaled(composed), table, directions, scans, coeffs))
         assert all(g.any() for g in got[1])
+
+    @pytest.mark.parametrize("case", ["shared", "one-op-output"])
+    def test_a_shared_or_op_output_weight_gets_its_gradient_through_the_engine(self, case):
+        table, directions, ids, coeffs = bilstm_inputs(10, True)
+        scans = [ids, ids[:, ::-1]]
+        if case == "shared":  # the backward direction reads the forward one's bias
+            directions[1] = (*directions[1][:2], directions[0][2])
+
+        def mixed(op):
+            """``op`` where only the backward direction's w_rec is an op's output."""
+            if case == "shared":
+                return op
+            return lambda table, scans, directions: op(table, scans, [
+                directions[0], (directions[1][0], ad.mul(directions[1][1], 1.5),
+                                directions[1][2])])
+
+        got = value_and_grads(mixed(ad.bilstm_last), table, directions, scans, coeffs)
+        assert_identical(got, value_and_grads(mixed(composed), table, directions, scans, coeffs))
+        assert all(g.any() for g in got[1])
+
+    def test_float32_stays_float32(self):
+        table, directions, ids, coeffs = bilstm_inputs(11, True)
+        table = Tensor(table.values.astype(np.float32), requires_grad=True)
+        directions = [tuple(Tensor(w.values.astype(np.float32), requires_grad=True) for w in d)
+                      for d in directions]
+        scans = [ids, ids[:, ::-1]]
+        got = value_and_grads(ad.bilstm_last, table, directions, scans, coeffs.astype(np.float32))
+        assert got[0].dtype == np.float32
+        assert [g.dtype for g in got[1]] == [np.float32] * 7
+        assert_identical(got, value_and_grads(composed, table, directions, scans,
+                                              coeffs.astype(np.float32)))
 
     @needs_pin
     @pytest.mark.parametrize("at_once", [False, True])

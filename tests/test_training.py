@@ -300,10 +300,11 @@ class TestTrainVariant:
         backward = kernels.lstm_backward
         noisy_epoch = training.train_noisy_epoch
 
-        def nan_bias_gradient(*args):
-            dx, dw_in, dw_rec, dbias = backward(*args)
+        def nan_bias_gradient(*args, grads=None):
+            dx, dw_in, dw_rec, dbias = backward(*args, grads=grads)
             if poisoned[0]:
-                dbias[0] = np.nan
+                # the bias gradient, or the buffer it was added into
+                (grads[2] if dbias is None else dbias)[0] = np.nan
             return dx, dw_in, dw_rec, dbias
 
         def poisoned_noisy_epoch(*args, **kwargs):
