@@ -10,15 +10,16 @@ size 300) at training batch sizes, and the two evaluation shapes at
 prediction scan reads real windows, because what it saves depends on how
 many tokens and prefixes the windows share: the first ``batch`` distinct
 windows of a ``toydata.generate_splits`` dev split, in the sorted order in
-which ``training.predict_split`` scores them, over a random embedding
+which ``WindowClassifier.predict`` scores them, over a random embedding
 table.  It is timed over the whole window ("final" pooling, 7 steps) and
 up to the middle token ("center" pooling, 4 steps), both in the forward
 direction, in two columns each: building the prefix plan of those ids
-(``kernels.prefix_plan``, which ``training.predict_split`` does once per
+(``kernels.prefix_plan``, which ``WindowClassifier.predict`` does once per
 trial for dev, and once per prediction for any other split) and the
 projection of its distinct tokens plus the scan over the prebuilt plan (the
 per-epoch work).  The distinct-token and distinct-prefix counts of that split
-are printed first.  The backward is timed on caches computed once.  Each
+are printed first, over the split and within the chunks prediction scans
+(half of ``eval_batch_size``).  The backward is timed on caches computed once.  Each
 figure is the median of REPEATS calls with its quartiles in brackets, in
 ms: with several BLAS threads on few cores single calls can stall, which
 shows as a wide spread between the quartiles.  The BLAS thread setting is
@@ -79,7 +80,7 @@ def make_inputs(rng, b, t, e, h):
 
 
 def dev_windows(seed):
-    """Distinct windows (sorted, as ``predict_split`` scores them) of the
+    """Distinct windows (sorted, as ``WindowClassifier.predict`` scores them) of the
     toy dev split for ``seed``, the split's window count, and its vocab size."""
     dev = generate_splits(seed)[1]
     vocab = Vocabulary(sorted(set(dev.all_tokens())))
@@ -93,7 +94,8 @@ def distinct_prefixes(rows):
 
 
 def report_sharing(rows, n_windows):
-    chunks = [rows[s:s + EVAL_BATCH] for s in range(0, len(rows), EVAL_BATCH)]
+    chunk = EVAL_BATCH // 2  # the chunk WindowClassifier.infer scans
+    chunks = [rows[s:s + chunk] for s in range(0, len(rows), chunk)]
     print(f"dev split (toydata seed {SPLIT_SEED}): {n_windows} windows, "
           f"{len(rows)} distinct, {len(np.unique(rows))} distinct tokens")
     print(f"  cell steps per direction at 7 steps: {rows.size} one per token "
@@ -101,7 +103,7 @@ def report_sharing(rows, n_windows):
           f"{distinct_prefixes(rows[:, ::-1])} distinct suffixes over the split; "
           f"{sum(distinct_prefixes(c) for c in chunks)} prefixes, "
           f"{sum(distinct_prefixes(c[:, ::-1]) for c in chunks)} suffixes "
-          f"within its {len(chunks)} chunks of {EVAL_BATCH}")
+          f"within its {len(chunks)} chunks of {chunk}")
 
 
 def predict(table, plan, w_in, w_rec, bias):

@@ -17,7 +17,7 @@ from . import checkpoint as ckpt
 from . import evaluation, training
 from .autodiff import NonFiniteError
 from .config import ExperimentConfig, check_range, parse_labels
-from .conll import parse_conll, write_conll
+from .conll import check_aligned, parse_conll, write_conll
 from .data import CHANNEL_CONFIG_KEYS, build_channel_spec, corpus_windows, prepare
 from .fileio import atomic_write_json, atomic_write_text, jsonl_line
 from .gazetteer import Gazetteer, annotate
@@ -79,6 +79,7 @@ def cmd_init_theta(args):
     label_set = _label_set(args.labels)
     clean = _parse(args.clean, label_set)
     noisy = _parse(args.noisy, label_set)
+    check_aligned(clean, noisy, (args.clean, args.noisy))
     y = label_set.encode(clean.flat_labels())
     z = label_set.encode(noisy.flat_labels())
     counts = estimate_confusion(y, z, label_set.k)
@@ -157,9 +158,27 @@ def cmd_evaluate(args):
     return 0
 
 
+def _sweep_values(text, axis):
+    """The numbers of ``--values`` for ``axis``, each checked as its config
+    key would be; a clean size must be whole.  An error names the flag and
+    the value."""
+    key = "clean_budget" if axis == "clean-size" else "noisy_factor"
+    values = []
+    for raw in filter(None, map(str.strip, text.split(","))):
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"--values: {raw!r} is not a number") from None
+        if key == "clean_budget" and not value.is_integer():
+            raise ValueError(f"--values = {value!r} is not a whole number of windows")
+        check_range(key, value, "--values")
+        values.append(value)
+    return values
+
+
 def cmd_sweep(args):
     config = ExperimentConfig.load(args.config)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = _sweep_values(args.values, args.axis)
     train_corpus, dev_corpus, test_corpus = _load_corpora(config)
     rows = training.sweep(
         args.axis, values, config.variant, train_corpus, dev_corpus,

@@ -2,6 +2,7 @@
 as flat ``key = value`` text so a saved config reproduces its run."""
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +52,13 @@ RANGES = {
 
 
 def check_range(key, value, name=None):
-    """Raise unless ``value`` meets ``key``'s rule in RANGES; the message
-    names ``name`` (a CLI flag, say), by default the key."""
+    """Raise unless ``value`` is finite and meets ``key``'s rule in RANGES;
+    the message names ``name`` (a CLI flag, say), by default the key."""
     bound = RANGES[key]
     if not BOUNDS[bound](value):
         raise ValueError(f"{name or key} = {value!r} must be {bound}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name or key} = {value!r} must be finite")
 
 
 def parse_labels(text, name="labels"):

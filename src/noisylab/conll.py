@@ -3,6 +3,7 @@ columns with the tag last, blank line between sentences, -DOCSTART- lines
 marking document boundaries."""
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Optional
 
 DOCSTART = "-DOCSTART-"
@@ -50,46 +51,64 @@ class CorpusDocument:
 def parse_conll(text, label_set=None) -> CorpusDocument:
     """Parse CoNLL text; tolerant of extra middle columns (POS, chunk).
 
-    Lines with a single column are unlabeled tokens.  When ``label_set``
-    is given, tags are validated and errors name the offending line.
+    Lines with a single column are unlabeled tokens; a sentence's tokens
+    are either all tagged or all untagged.  When ``label_set`` is given,
+    tags are validated.  Errors name the offending line.
     """
     corpus = CorpusDocument()
     tokens: list = []
     labels: list = []
-    any_label = False
+    untagged = 0  # tokens of the open sentence without a tag
     pending_docstart = False
 
-    def flush():
-        nonlocal tokens, labels, any_label, pending_docstart
+    def flush(end):
+        """Close the sentence whose last line is line ``end`` - 1."""
+        nonlocal tokens, labels, untagged, pending_docstart
         if tokens:
+            if 0 < untagged < len(labels):
+                first = labels[0] is None
+                i = next(i for i, tag in enumerate(labels) if (tag is None) != first)
+                raise ValueError(f"line {end - len(labels) + i}: sentence mixes tagged "
+                                 f"and untagged tokens")
             corpus.sentences.append(
-                Sentence(tokens=tokens, labels=labels if any_label else None)
+                Sentence(tokens=tokens, labels=None if untagged else labels)
             )
             if pending_docstart:
                 corpus.doc_starts.append(len(corpus.sentences) - 1)
                 pending_docstart = False
-        tokens, labels, any_label = [], [], False
+        tokens, labels, untagged = [], [], 0
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
-            flush()
+            flush(lineno)
             continue
         if line.startswith(DOCSTART):
-            flush()
+            flush(lineno)
             pending_docstart = True
             continue
         cols = line.split()
-        token = cols[0]
-        tag = cols[-1] if len(cols) > 1 else None
-        if tag is not None and label_set is not None and tag not in label_set.classes:
-            raise ValueError(f"line {lineno}: tag {tag!r} not in label set")
-        tokens.append(token)
+        if len(cols) > 1:
+            tag = cols[-1]
+            if label_set is not None and tag not in label_set.classes:
+                raise ValueError(f"line {lineno}: tag {tag!r} not in label set")
+        else:
+            tag = None
+            untagged += 1
+        tokens.append(cols[0])
         labels.append(tag)
-        if tag is not None:
-            any_label = True
-    flush()
+    flush(lineno + 1)
     return corpus
+
+
+def check_aligned(first, second, names):
+    """Raise unless corpora ``first`` and ``second`` hold the same sentences
+    of the same tokens; the error names both, as ``names``, and the first
+    sentence that differs, counted from 1."""
+    pairs = zip_longest(first.sentences, second.sentences)
+    for number, (a, b) in enumerate(pairs, start=1):
+        if a is None or b is None or a.tokens != b.tokens:
+            raise ValueError(f"{names[0]} and {names[1]} differ at sentence {number}")
 
 
 def write_conll(corpus: CorpusDocument) -> str:

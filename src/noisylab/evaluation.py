@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conll import check_aligned
 from .model import LabelSet
 
 
@@ -179,11 +180,7 @@ def parse_matrix_csv(text):
 def annotation_quality(gold_corpus, auto_corpus, label_set=None) -> PRFReport:
     """Entity-level scores of automatic labels against gold labels."""
     label_set = label_set or LabelSet()
-    if len(gold_corpus.sentences) != len(auto_corpus.sentences):
-        raise ValueError("corpora differ in sentence count")
-    for idx, (g, a) in enumerate(zip(gold_corpus.sentences, auto_corpus.sentences)):
-        if g.tokens != a.tokens:
-            raise ValueError(f"sentence {idx}: token mismatch")
+    check_aligned(gold_corpus, auto_corpus, ("gold corpus", "automatic corpus"))
     return entity_prf(label_set.encode(gold_corpus.flat_labels()),
                       label_set.encode(auto_corpus.flat_labels()), label_set,
                       [len(s) for s in gold_corpus.sentences])

@@ -3,9 +3,9 @@ the learnable label-noise layer, and the label-cleaning network baseline.
 
 The noise layer and the cleaning network only ever participate in
 training.  Training differentiates through :meth:`WindowClassifier.features`;
-prediction is the bare classifier's head over the features of
-:meth:`WindowClassifier.infer`, a scan that keeps no cache for a backward
-pass and owns prediction's chunk, block and plan rules.
+prediction (:meth:`WindowClassifier.predict`) is the bare classifier's head
+over the features of :meth:`WindowClassifier.infer`, a pinned, cache-free
+scan; the two own every rule of prediction.
 """
 
 from typing import Sequence
@@ -192,19 +192,22 @@ class WindowClassifier(_Network):
         """Class distributions as a Tensor of shape (B, k)."""
         return self.head(self.features(token_ids))
 
+    @parallel.one_blas_thread()
     def infer(self, token_ids, fn, eval_batch=None, plans=None):
         """The prediction path: ``fn(rows, features)`` of each chunk, where
         ``rows`` is the chunk's slice of ``token_ids`` and ``features`` a
         constant Tensor of its :meth:`features` values; the results are
-        concatenated along axis 0.  No rows are one empty chunk.
+        concatenated along axis 0.  No rows are one empty chunk.  BLAS runs
+        on one thread (:mod:`noisylab.parallel`).
 
-        A chunk is ``eval_batch`` rows (all rows by default), or half of them
-        where two workers may scan ``eval_batch`` rows at once, so that at
-        most ``eval_batch`` rows are scanned at a time.  The rows are scanned
-        in blocks of PREDICT_BLOCK rows, rounded down to whole chunks, with
-        no cache for a backward pass.  In a block each direction projects
-        the distinct tokens once and then advances each distinct window
-        prefix of each chunk once, one task per chunk and direction.  Where
+        A chunk is ``eval_batch // 2`` rows (all rows by default), so that
+        two workers hold at most ``eval_batch`` rows at once; it depends on
+        nothing else, so the numbers do not depend on the machine.  The
+        rows are scanned in blocks of PREDICT_BLOCK rows, rounded down to
+        whole chunks, with no cache for a backward pass.  In a block each
+        direction projects the distinct tokens once and then advances each
+        distinct window prefix of each chunk once, one task per chunk and
+        direction.  Where
         :func:`noisylab.parallel.concurrent` allows it for the call's largest
         chunk x 4H (decided once per call), the two projections, and then the
         tasks, run on two workers, each taking the next task when done with
@@ -214,9 +217,7 @@ class WindowClassifier(_Network):
         """
         ids = np.atleast_2d(token_ids)
         steps, H = self.steps, self.hidden_size
-        chunk = eval_batch or max(ids.shape[0], 1)
-        if eval_batch and parallel.concurrent(eval_batch, 4 * H):
-            chunk = max(eval_batch // 2, 1)
+        chunk = max(eval_batch // 2, 1) if eval_batch else max(ids.shape[0], 1)
         at_once = parallel.concurrent(min(chunk, ids.shape[0]), 4 * H)
         block = max(PREDICT_BLOCK // chunk, 1) * chunk
         plans = {} if plans is None else plans
@@ -253,15 +254,24 @@ class WindowClassifier(_Network):
         """The values of :meth:`features`, from :meth:`infer`'s scan, as an array."""
         return self.infer(token_ids, lambda rows, feats: feats.values)
 
-    def predict(self, token_ids, eval_batch=None, plans=None):
+    def predict(self, token_ids, eval_batch=None, kept=None):
         """Predicted class per window; ties break toward the lowest index.
-        ``eval_batch`` and ``plans`` as in :meth:`infer`.
 
-        The noise layer and the cleaning network never participate here.
+        Each distinct window is predicted once, through :meth:`infer` with
+        ``eval_batch``, and copied to every place it occurs.  ``kept``, a
+        dict that a caller predicting the same windows again passes each
+        time, holds the distinct rows and (under "plans") their prefix plans
+        after the first call.  The noise layer and the cleaning network
+        never participate here.
         """
-        return self.infer(token_ids,
-                          lambda rows, feats: np.argmax(self.head(feats).values, axis=-1),
-                          eval_batch, plans)
+        kept = {} if kept is None else kept
+        if "distinct" not in kept:
+            rows, inverse = np.unique(np.atleast_2d(token_ids), axis=0, return_inverse=True)
+            kept["distinct"] = rows, inverse.reshape(-1)
+        rows, inverse = kept["distinct"]
+        preds = self.infer(rows, lambda _, feats: np.argmax(self.head(feats).values, axis=-1),
+                           eval_batch, kept.setdefault("plans", {}))
+        return preds[inverse]
 
 
 def theta_from_b(b):

@@ -13,8 +13,9 @@ noisy labels.  noise-cleaning-model trains a label cleaning network on C
 each epoch and then trains the base model on cleaned noisy data plus C.
 
 Training steps differentiate through ``WindowClassifier.probs``; every
-prediction goes through ``WindowClassifier.infer``, which is passed
-``eval_batch_size`` as it is and picks its chunks from it.
+prediction goes through ``WindowClassifier.predict`` or ``infer``, which
+are passed ``eval_batch_size`` as it is and own every rule of prediction,
+the BLAS pin and the chunk size among them.
 """
 
 import dataclasses
@@ -178,32 +179,11 @@ def _clean_noisy_labels(model, cleaner, noisy_split, indices, k, eval_batch):
     return ids, cleaned
 
 
-@parallel.one_blas_thread()
-def predict_split(model, split, eval_batch, kept=None):
-    """Predicted class of every window of ``split``; counts as one read.
-
-    Each distinct window is predicted once, through ``model.predict`` with
-    ``eval_batch`` (see :meth:`WindowClassifier.infer`), and its prediction
-    is scattered back to every place it occurs.  ``kept``, a dict that a
-    caller predicting the split again passes each time, holds the distinct
-    rows and their prefix plans after the first call; without one they are
-    worked out for this call.  BLAS runs on one thread
-    (:mod:`noisylab.parallel`).
-    """
-    kept = {} if kept is None else kept
-    ids, _ = split.take(slice(None))
-    if "distinct" not in kept:
-        rows, inverse = np.unique(ids, axis=0, return_inverse=True)
-        kept["distinct"] = rows, inverse.reshape(-1)
-    rows, inverse = kept["distinct"]
-    preds = model.predict(rows, eval_batch, kept.setdefault("plans", {}))
-    return preds[inverse]
-
-
 def evaluate_split(model, split, label_set, eval_batch, kept=None):
-    """Entity-level report of the model's predictions on one split;
-    ``kept`` as in :func:`predict_split`."""
-    preds = predict_split(model, split, eval_batch, kept)
+    """Entity-level report of the model's predictions on one split, which
+    counts as one read; ``kept`` as in :meth:`WindowClassifier.predict`."""
+    ids, _ = split.take(slice(None))
+    preds = model.predict(ids, eval_batch, kept)
     report = entity_prf(split.y, preds, label_set, split.sentence_lengths)
     return report.overall.f1, report
 
@@ -242,7 +222,7 @@ def _init_noise_matrix(init, model, opt_base, data, config, trial_seed):
             with _naming_epoch(epoch, "pretrain"):
                 _supervised_pass(model, ids, z, (opt_base,), rng, config.batch_size)
         opt_base.reset()
-        labels = predict_split(model, data.noisy, config.eval_batch_size)
+        labels = model.predict(ids, config.eval_batch_size)
     b = init_noise_weights(estimate_confusion(labels, z, data.k), config.alpha)
     return NoiseMatrix(b, dtype=config.numpy_dtype)
 

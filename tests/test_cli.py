@@ -179,6 +179,33 @@ class TestInitTheta:
         assert f"error: --alpha = {float(alpha)!r} must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_alpha_not_finite_exits_2_naming_the_flag(self, toy_dir, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = main(["init-theta", "--clean", str(toy_dir / "train.conll"),
+                     "--noisy", str(toy_dir / "train.conll"), "--alpha", "inf",
+                     "--output", str(out)])
+        assert code == 2
+        assert "error: --alpha = inf must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noisy_text, number", [
+        ("a O\nb O\n\nc O\nx O\n", 2),  # as many tokens, one of them different
+        ("a O\nb O\n", 2),
+        ("a O\nb O\n\nc O\nd O\n\ne O\n", 3),
+    ], ids=["token", "fewer-sentences", "more-sentences"])
+    def test_unaligned_files_exit_2_naming_both_and_the_sentence(self, tmp_path, capsys,
+                                                                noisy_text, number):
+        clean, noisy = tmp_path / "clean.conll", tmp_path / "noisy.conll"
+        clean.write_text("a O\nb O\n\nc O\nd O\n", encoding="utf-8")
+        noisy.write_text(noisy_text, encoding="utf-8")
+        out = tmp_path / "b.csv"
+        code = main(["init-theta", "--clean", str(clean), "--noisy", str(noisy),
+                     "--output", str(out)])
+        assert code == 2
+        assert (f"error: {clean} and {noisy} differ at sentence {number}\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestLabelsRejected:
     @pytest.mark.parametrize("command", ["annotate", "simulate-noise", "init-theta"])
@@ -396,7 +423,11 @@ class TestConfigRejected:
         ("cleaner_proj_size = 4", "cleaner_proj_size = -1",
          "cleaner_proj_size = -1 must be > 0"),
         ("alpha = 1.0", "alpha = 0.0", "alpha = 0.0 must be > 0"),
-    ], ids=["hidden_size", "cleaner_proj_size", "alpha"])
+        ("alpha = 1.0", "alpha = inf", "alpha = inf must be finite"),
+        ("noisy_factor = 1.0", "noisy_factor = inf", "noisy_factor = inf must be finite"),
+        ("learning_rate = 0.01", "learning_rate = inf", "learning_rate = inf must be finite"),
+    ], ids=["hidden_size", "cleaner_proj_size", "alpha", "alpha-inf", "noisy_factor-inf",
+            "learning_rate-inf"])
     def test_bad_size_or_alpha_exits_2_naming_it(self, tiny_config_text, tmp_path, capsys,
                                                  old, new, message):
         assert f"\n{old}\n" in tiny_config_text
@@ -497,6 +528,21 @@ class TestBadInputFilesExit2:
         assert not (tmp_path / "run" / "metrics.jsonl").exists()
 
 
+    def test_sentence_mixing_tagged_and_untagged_tokens_names_file_and_line(
+            self, tiny_config_text, tmp_path, capsys):
+        mixed = tmp_path / "mixed.conll"
+        mixed.write_text("a O\nb PER\n\nc O\nd\ne O\n", encoding="utf-8")
+        test_path = [line for line in tiny_config_text.splitlines()
+                     if line.startswith("test_path")][0]
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(tiny_config_text.replace(test_path, f"test_path = {mixed}"),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (f"error: {mixed}: line 5: sentence mixes tagged and untagged tokens\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_tag_outside_the_label_set_names_the_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.conll"
         bad.write_text("a O\nb FOO\n", encoding="utf-8")
@@ -578,6 +624,35 @@ class TestSweepCommand:
         assert code == 2
         assert "error: noisy_factor 50.0 x |C| " in capsys.readouterr().err
         assert records == []
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("noisy-factor", "1,x", "--values: 'x' is not a number"),
+        ("noisy-factor", "1,inf", "--values = inf must be finite"),
+        ("noisy-factor", "-1", "--values = -1.0 must be >= 0"),
+        ("clean-size", "150,inf", "--values = inf is not a whole number of windows"),
+        ("clean-size", "100.7", "--values = 100.7 is not a whole number of windows"),
+        ("clean-size", "150,0", "--values = 0.0 must be > 0"),
+    ], ids=["not-a-number", "factor-inf", "factor-negative", "size-inf", "size-fraction",
+            "size-zero"])
+    def test_bad_value_exits_2_naming_it_before_any_trial(
+            self, tiny_config_text, tmp_path, capsys, monkeypatch, axis, values, message):
+        from noisylab import training
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(training, "sweep", no_sweep)
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(tiny_config_text, encoding="utf-8")
+        out = tmp_path / "sweepout"
+        code = main(["sweep", "--config", str(cfg), "--axis", axis, "--values", values,
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}\n" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 

@@ -297,3 +297,15 @@ class TestAnnotationQuality:
         auto = _corpus([(["b"], ["O"])])
         with pytest.raises(ValueError):
             annotation_quality(gold, auto)
+
+    @pytest.mark.parametrize("auto_sentences, number", [
+        ([(["a", "b"], ["O", "O"]), (["c", "x"], ["O", "O"])], 2),
+        ([(["a", "b"], ["O", "O"])], 2),
+        ([(["a", "b"], ["O", "O"]), (["c", "d"], ["O", "O"]), (["e"], ["O"])], 3),
+    ], ids=["token", "fewer-sentences", "more-sentences"])
+    def test_mismatch_names_the_first_differing_sentence(self, auto_sentences, number):
+        gold = _corpus([(["a", "b"], ["O", "O"]), (["c", "d"], ["O", "O"])])
+        with pytest.raises(ValueError) as err:
+            annotation_quality(gold, _corpus(auto_sentences))
+        assert str(err.value) == (f"gold corpus and automatic corpus differ at "
+                                  f"sentence {number}")

@@ -57,6 +57,16 @@ class TestParseConll:
         corpus = parse_conll("alpha\nbeta\n")
         assert corpus.sentences[0].labels is None
 
+    @pytest.mark.parametrize("text, line", [
+        ("alpha O\nbeta\ngamma O\n", 2),
+        ("alpha O\n\nbeta\ngamma\ndelta PER\n", 5),
+        ("-DOCSTART- O\n\nalpha\nbeta LOC", 4),
+    ], ids=["untagged-after-tagged", "tagged-after-untagged", "no-final-newline"])
+    def test_sentence_mixing_tagged_and_untagged_tokens_names_line(self, text, line):
+        with pytest.raises(ValueError) as err:
+            parse_conll(text)
+        assert str(err.value) == f"line {line}: sentence mixes tagged and untagged tokens"
+
     def test_round_trip_lossless(self):
         text = "-DOCSTART- O\n\nalpha O\nbeta PER\n\ngamma LOC\n\n-DOCSTART- O\n\ndelta O\n"
         corpus = parse_conll(text, LabelSet())
@@ -69,17 +79,17 @@ class TestParseConll:
 # whitespace-free tokens; a token starting -DOCSTART- would read as a marker
 TOKENS = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1,
                  max_size=6).filter(lambda t: not t.startswith("-DOCSTART-"))
-TAGS = st.one_of(st.none(), st.sampled_from(LabelSet().classes))
+TAGS = st.sampled_from(LabelSet().classes)
 
 
 @st.composite
 def corpora(draw):
     sentences = []
-    for tagged in draw(st.lists(st.lists(st.tuples(TOKENS, TAGS), min_size=1, max_size=6),
-                                max_size=6)):
-        tokens, labels = map(list, zip(*tagged))
-        # a sentence with no tag at all parses as unlabeled
-        sentences.append(Sentence(tokens, None if labels == [None] * len(labels) else labels))
+    for tokens in draw(st.lists(st.lists(TOKENS, min_size=1, max_size=6), max_size=6)):
+        # a sentence's tokens are either all tagged or all untagged
+        n = len(tokens)
+        labels = draw(st.one_of(st.none(), st.lists(TAGS, min_size=n, max_size=n)))
+        sentences.append(Sentence(tokens, labels))
     starts = draw(st.sets(st.integers(0, len(sentences) - 1))) if sentences else set()
     return CorpusDocument(sentences=sentences, doc_starts=sorted(starts))
 
@@ -416,6 +426,11 @@ class TestExperimentConfig:
         ("hidden_size", 0, "> 0"),
         ("dense_size", -3, "> 0"),
         ("cleaner_proj_size", 0, "> 0"),
+        # inf meets these keys' bounds; only the finite check stops it
+        ("learning_rate", float("inf"), "finite"),
+        ("epsilon", float("inf"), "finite"),
+        ("noisy_factor", float("inf"), "finite"),
+        ("alpha", float("inf"), "finite"),
     ])
     def test_out_of_range_value_rejected(self, key, bad, bound):
         for make in (lambda: ExperimentConfig(**{key: bad}),

@@ -19,7 +19,7 @@ from noisylab.config import ExperimentConfig
 from noisylab.data import prepare
 from noisylab.model import WindowClassifier
 from noisylab.optim import Adam
-from noisylab.toydata import generate_corpus
+from noisylab.toydata import generate_corpus, generate_splits
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -376,17 +376,37 @@ class TestModelPaths:
 
         monkeypatch.setattr(kernels, "lstm_last_hidden", scan_spy)
         rows = np.unique(split.token_ids, axis=0).shape[0]
-        one_chunk = run(lambda: training.predict_split(model, split, rows), False, monkeypatch)
+        # eval_batch 2 * rows: one chunk of all rows, one scan at a time
+        one_chunk = run(lambda: model.predict(split.token_ids, 2 * rows), False, monkeypatch)
         assert [size for _, size in scans] == [rows, rows]
         assert len({name for name, _ in scans}) == 1
         scans.clear()
-        halves = run(lambda: training.predict_split(model, split, rows), True, monkeypatch)
+        halves = run(lambda: model.predict(split.token_ids, rows), True, monkeypatch)
         # tasks of at most rows // 2 rows, one at a time per worker, so at
         # most `rows` rows in flight across the two workers
         assert max(size for _, size in scans) == rows // 2
         assert sum(size for _, size in scans) == 2 * rows
         assert len({name for name, _ in scans}) == 2
         np.testing.assert_array_equal(halves, one_chunk)
+
+    @needs_pin
+    def test_prediction_does_not_depend_on_the_cpu_count(self, monkeypatch):
+        # the acceptance sizes (4H = 96, eval_batch 512) on toy corpus 31,
+        # whose N scans levels that hold one prefix under some chunkings
+        config = ExperimentConfig(seed=31, clean_budget=400, embedding_dim=16, hidden_size=24,
+                                  dense_size=16, eval_batch_size=512)
+        data = prepare(config, *generate_splits(31))
+        model = WindowClassifier(data.embedding_table, k=data.k, hidden_size=24,
+                                 dense_size=16, seed=1)
+        ids = np.unique(data.noisy.token_ids, axis=0)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "cpus", lambda cpus=cpus: cpus)
+            with parallel.one_blas_thread():
+                outputs.append((model.infer(ids, lambda rows, feats: feats.values, 512),
+                                model.predict(data.noisy.token_ids, 512)))
+        for one_cpu, two_cpus in zip(*outputs):
+            assert one_cpu.tobytes() == two_cpus.tobytes()
 
 
 class TestAdamHalves:
@@ -475,7 +495,7 @@ class TestPinAroundTrialsAndPrediction:
         set_(before)
 
     @needs_pin
-    def test_restored_after_train_variant_and_predict_split(self, tiny, caller_count):
+    def test_restored_after_train_variant_and_predict_on_a_split(self, tiny, caller_count):
         config, data = tiny
         inside = []
         result = training.train_variant("base-model", data, config, trial_seed=0,
@@ -485,7 +505,7 @@ class TestPinAroundTrialsAndPrediction:
         model = WindowClassifier(data.embedding_table, k=data.k, hidden_size=10,
                                  dense_size=8)
         model.load_state(result.model_state)
-        training.predict_split(model, data.dev, 64)
+        model.predict(data.dev.token_ids, 64)
         assert blas_threads() == caller_count
 
     @needs_pin
@@ -493,7 +513,7 @@ class TestPinAroundTrialsAndPrediction:
                                                       monkeypatch):
         config, data = tiny
 
-        def diverge(self, *args):
+        def diverge(*args):
             assert blas_threads() == 1
             raise NonFiniteError("diverged")
 
@@ -505,10 +525,10 @@ class TestPinAroundTrialsAndPrediction:
         with pytest.raises(NonFiniteError, match="epoch 0"):
             training.train_variant("base-model", data, config, trial_seed=0)
         assert blas_threads() == caller_count
-        monkeypatch.setattr(WindowClassifier, "predict", diverge)
+        monkeypatch.setattr(kernels, "lstm_last_hidden", diverge)
         model = WindowClassifier(data.embedding_table, k=data.k, hidden_size=10, dense_size=8)
         with pytest.raises(NonFiniteError, match="diverged"):
-            training.predict_split(model, data.dev, 64)
+            model.predict(data.dev.token_ids, 64)
         assert blas_threads() == caller_count
 
 

@@ -20,7 +20,6 @@ from noisylab.training import (
     _clean_noisy_labels,
     evaluate_split,
     mean_and_se,
-    predict_split,
     run_trials,
     schedule,
     subsample_noisy,
@@ -466,7 +465,7 @@ class TestEvaluateSplit:
         assert len(gold_of) < len(split), "fixture needs repeated windows"
 
         class Oracle:
-            def predict(self, ids, eval_batch=None, plans=None):
+            def predict(self, ids, eval_batch=None, kept=None):
                 return np.array([gold_of[window.tobytes()] for window in ids])
 
         f1, report = evaluate_split(Oracle(), split, tiny_data.label_set, 64)
@@ -475,6 +474,9 @@ class TestEvaluateSplit:
 
 
 class TestPredictSplit:
+    """WindowClassifier.predict over whole splits, as dev and test scoring
+    and the noise-adaptation initialization use it."""
+
     @pytest.fixture(scope="class")
     def model(self, tiny_data):
         from noisylab.model import WindowClassifier
@@ -486,12 +488,12 @@ class TestPredictSplit:
         assert np.unique(split.token_ids, axis=0).shape[0] < len(split)
         expected = np.array([model.predict(window)[0] for window in split.token_ids])
         for eval_batch in (1, 64, 10_000):
-            np.testing.assert_array_equal(predict_split(model, split, eval_batch), expected)
+            np.testing.assert_array_equal(model.predict(split.token_ids, eval_batch), expected)
 
     def test_prediction_and_relabelling_never_run_the_training_scan(
             self, tiny_data, model, monkeypatch):
         split = tiny_data.dev
-        expected = predict_split(model, split, 64)
+        expected = model.predict(split.token_ids, 64)
         cleaner = CleaningNetwork(20, 5, proj_size=4, seed=0)
         indices = np.arange(50)
         _, relabelled = _clean_noisy_labels(model, cleaner, tiny_data.noisy, indices, 5, 16)
@@ -500,7 +502,7 @@ class TestPredictSplit:
             raise AssertionError("prediction ran kernels.lstm_forward")
 
         monkeypatch.setattr(kernels, "lstm_forward", training_scan)
-        np.testing.assert_array_equal(predict_split(model, split, 64), expected)
+        np.testing.assert_array_equal(model.predict(split.token_ids, 64), expected)
         np.testing.assert_array_equal(
             _clean_noisy_labels(model, cleaner, tiny_data.noisy, indices, 5, 16)[1],
             relabelled)
@@ -513,14 +515,15 @@ class TestPredictSplit:
                                  dense_size=8, seed=4, pooling=pooling, dtype=dtype)
         split = tiny_data.dev
         rows, inverse = np.unique(split.token_ids, axis=0, return_inverse=True)
-        inline = np.concatenate([model.predict(rows[s:s + 64])
-                                 for s in range(0, rows.shape[0], 64)])[inverse.reshape(-1)]
+        # eval_batch 64 scans chunks of 32 rows
+        inline = np.concatenate([model.predict(rows[s:s + 32])
+                                 for s in range(0, rows.shape[0], 32)])[inverse.reshape(-1)]
         kept = {}
         for _ in range(2):  # builds the plans, then reuses them
-            np.testing.assert_array_equal(predict_split(model, split, 64, kept), inline)
+            np.testing.assert_array_equal(model.predict(split.token_ids, 64, kept), inline)
         np.testing.assert_array_equal(kept["distinct"][0], rows)
         assert rows.shape[0] <= PREDICT_BLOCK  # one block, which starts at row 0
-        assert sorted(kept["plans"]) == [(model.steps, 64, 0)]
+        assert sorted(kept["plans"]) == [(model.steps, 32, 0)]
         features = model.infer(rows, lambda r, f: f.values, 64)
         from_kept = model.infer(rows, lambda r, f: f.values, 64, kept["plans"])
         assert features.dtype == dtype
@@ -536,16 +539,17 @@ class TestPredictSplit:
                                  dense_size=8, seed=6, pooling=pooling, dtype=dtype)
         rows = np.unique(tiny_data.dev.token_ids, axis=0)
         assert rows.shape[0] > 3 * 100  # a split of several blocks
-        # blocks of three chunks, of two, and of one chunk larger than the bound
-        for chunk in (32, 40, 150):
+        # chunks of half eval_batch: blocks of three chunks, of two, and of
+        # one chunk larger than the bound
+        for eval_batch, chunk in ((64, 32), (81, 40), (300, 150)):
             # the oracle: each chunk scanned on its own, as one chunk of one block
             per_chunk = [model.infer_features(rows[s:s + chunk])
                          for s in range(0, rows.shape[0], chunk)]
-            features = model.infer(rows, lambda r, f: f.values, chunk)
+            features = model.infer(rows, lambda r, f: f.values, eval_batch)
             assert features.dtype == dtype
             np.testing.assert_array_equal(features, np.concatenate(per_chunk))
             np.testing.assert_array_equal(
-                model.predict(rows, chunk),
+                model.predict(rows, eval_batch),
                 np.concatenate([np.argmax(model.head(Tensor(f)).values, axis=-1)
                                 for f in per_chunk]))
 
@@ -559,8 +563,9 @@ class TestPredictSplit:
         kept = {}
         for _ in range(2):  # one split scored by both poolings keeps plans for both
             for model, expected in zip(models, inline):
-                np.testing.assert_array_equal(predict_split(model, split, 64, kept), expected)
-        assert sorted(kept["plans"]) == [(4, 64, 0), (7, 64, 0)]
+                np.testing.assert_array_equal(model.predict(split.token_ids, 64, kept),
+                                              expected)
+        assert sorted(kept["plans"]) == [(4, 32, 0), (7, 32, 0)]
 
     def test_plans_built_once_per_block_and_direction(self, tiny_data, monkeypatch):
         built = []
@@ -572,7 +577,7 @@ class TestPredictSplit:
 
         monkeypatch.setattr(kernels, "prefix_plan", spy)
         monkeypatch.setattr(model_module, "PREDICT_BLOCK", 250)  # blocks of two chunks
-        config = dataclasses.replace(TINY, epochs=4, eval_batch_size=100)
+        config = dataclasses.replace(TINY, epochs=4, eval_batch_size=200)  # chunks of 100
         train_variant("noise-model", tiny_data, config, trial_seed=1)
         blocks = [-(-np.unique(split.token_ids, axis=0).shape[0] // 200)
                   for split in (tiny_data.dev, tiny_data.test)]
@@ -585,7 +590,7 @@ class TestPredictSplit:
         data = prepare(TINY, *corpora)
         splits = (data.clean, data.noisy, data.dev, data.test)
         before = [dict(vars(split)) for split in splits]
-        predict_split(model, data.dev, 64)
+        evaluate_split(model, data.dev, data.label_set, 64)
         config = dataclasses.replace(TINY, epochs=1, pretrain_epochs=1)
         train_variant("noise-adaptation-model", data, config, trial_seed=1)
         assert data.noisy.reads > before[1]["reads"]  # N was predicted
@@ -598,7 +603,7 @@ class TestPredictSplit:
         split = dataclasses.replace(tiny_data.test, token_ids=tiny_data.test.token_ids[:0],
                                     sentence_lengths=np.zeros(0, np.int64),
                                     y=tiny_data.test.y[:0])
-        assert predict_split(model, split, 64).shape == (0,)
+        assert model.predict(split.token_ids, 64).shape == (0,)
         f1, report = evaluate_split(model, split, tiny_data.label_set, 64)
         assert f1 == 0.0
         assert report.overall.support == 0
