@@ -21,9 +21,11 @@ per-epoch work).  The distinct-token and distinct-prefix counts of that split
 are printed first, over the split and within the chunks prediction scans
 (half of ``eval_batch_size``).  The backward is timed on caches computed once.  Each
 figure is the median of REPEATS calls with its quartiles in brackets, in
-ms: with several BLAS threads on few cores single calls can stall, which
-shows as a wide spread between the quartiles.  The BLAS thread setting is
-printed as found and never changed.
+ms.  Everything is timed under ``parallel.one_blas_thread()``, as training
+and prediction run: unpinned, two OpenBLAS threads on two cores stalled
+single calls and put the figures 20-50x off.  The BLAS thread variables are
+printed as found, and so is whether the pin took (``parallel.can_pin()``);
+where it did not, BLAS runs as found.
 
 The Adam step runs over the classifier's parameters at the acceptance
 size (E=16, H=24, dense 16) and the paper's size (E=H=300, dense 100),
@@ -43,7 +45,7 @@ import numpy as np
 # the checkout's own package, whether or not one is installed
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from noisylab import kernels
+from noisylab import kernels, parallel
 from noisylab.data import corpus_windows
 from noisylab.embeddings import Vocabulary
 from noisylab.model import WindowClassifier
@@ -157,6 +159,13 @@ COLUMNS = ("fwd", "bwd", "fwd+bwd", "plan 7", "predict 7", "plan 4", "predict 4"
 def main():
     print(f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')} "
           f"cpus={os.cpu_count()} numpy={np.__version__} dtype=float64")
+    print(f"BLAS pinned to one thread: {'yes' if parallel.can_pin() else 'no'}")
+    with parallel.one_blas_thread():
+        time_all()
+
+
+def time_all():
+    """Print the sharing report, the kernel table and the Adam table."""
     rows, n_windows, vocab_size = dev_windows(SPLIT_SEED)
     report_sharing(rows, n_windows)
     rng = np.random.default_rng(0)

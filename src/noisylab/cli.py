@@ -25,13 +25,16 @@ from .noise import CHANNEL_KINDS, apply_channel, estimate_confusion, init_noise_
 from .toydata import gazetteer_file_text, generate_splits, toy_gazetteer_pairs
 
 
-def _parse(path, label_set=None):
-    """The CoNLL corpus in the file at ``path``; an error names the file."""
+def _parse(path, label_set=None, labeled=False):
+    """The CoNLL corpus in the file at ``path``, every token tagged where
+    ``labeled``; an error names the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             corpus = parse_conll(fh.read(), label_set)
             if not corpus.sentences:
                 raise ValueError("no sentences")
+            if labeled and not corpus.labeled:
+                raise ValueError("corpus is not labeled")
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
     return corpus
@@ -60,9 +63,7 @@ def cmd_simulate_noise(args):
                               permutation=args.permutation, preset=args.preset,
                               matrix_path=args.matrix,
                               keys={key: f"--{key}" for key in CHANNEL_CONFIG_KEYS})
-    corpus = _parse(args.input, label_set)
-    if not corpus.labeled:
-        raise ValueError("input corpus must be labeled")
+    corpus = _parse(args.input, label_set, labeled=True)
     flat = label_set.encode(corpus.flat_labels())
     corrupted = apply_channel(flat, spec)
     names = map(label_set.name, corrupted)
@@ -77,8 +78,8 @@ def cmd_simulate_noise(args):
 def cmd_init_theta(args):
     check_range("alpha", args.alpha, "--alpha")
     label_set = _label_set(args.labels)
-    clean = _parse(args.clean, label_set)
-    noisy = _parse(args.noisy, label_set)
+    clean = _parse(args.clean, label_set, labeled=True)
+    noisy = _parse(args.noisy, label_set, labeled=True)
     check_aligned(clean, noisy, (args.clean, args.noisy))
     y = label_set.encode(clean.flat_labels())
     z = label_set.encode(noisy.flat_labels())
@@ -144,9 +145,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     model, vocab, label_set, config, _, _ = ckpt.load_checkpoint(args.checkpoint)
-    corpus = _parse(args.test, label_set)
-    if not corpus.labeled:
-        raise ValueError("evaluation corpus must be labeled")
+    corpus = _parse(args.test, label_set, labeled=True)
     split = corpus_windows(corpus, vocab, "eval", label_set,
                            y_names=corpus.flat_labels())
     _, report = training.evaluate_split(model, split, label_set,

@@ -173,11 +173,14 @@ def lstm_last_hidden(proj, chunk, w_rec):
     tc_buf = np.empty((rows, H), proj.dtype)
     h_buf = np.empty((rows, H), proj.dtype)
     for tok, parent in levels:
-        a = proj.take(tok, axis=0)
         if parent is None:
+            a = proj.take(tok, axis=0)
             c = np.zeros((tok.size, H), proj.dtype)
         else:
-            a += np.dot(h, w_rec).take(parent, axis=0)
+            # the GEMM's result is freed before the projection is gathered,
+            # so two gate-sized arrays are alive, not three
+            a = np.dot(h, w_rec).take(parent, axis=0)
+            a += proj.take(tok, axis=0)
             c = c.take(parent, axis=0)
         h = h_buf[:tok.size]
         _cell_step(a, c, c, tc_buf[:tok.size], h)

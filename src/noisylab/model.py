@@ -8,6 +8,7 @@ over the features of :meth:`WindowClassifier.infer`, a pinned, cache-free
 scan; the two own every rule of prediction.
 """
 
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -24,14 +25,15 @@ DEFAULT_CLASSES = ("O", "PER", "ORG", "LOC", "MISC")
 
 POOLINGS = ("final", "center")
 
-# Rows whose features a prediction call holds at once, rounded down to
-# whole chunks (see WindowClassifier.infer).  A block's distinct tokens are
-# projected once per direction; a bound that does not grow with the split
-# keeps the features and projections of a large split (N) from all being
-# alive at once.  At 2048 the paper-size dev split (about 1400 distinct
-# windows) is one block; as two blocks of 1024 it scored 8-10% slower, as
-# the second block projects shared tokens again and each block ends with a
-# worker idle.
+# Rows whose projections and prefix plans a prediction call holds at once,
+# rounded down to whole chunks (see WindowClassifier.infer); it does not
+# bound the features, which only the chunks in flight hold.  A block's
+# distinct tokens are projected once per direction; a bound that does not
+# grow with the split keeps the projections of a large split (N) from all
+# being alive at once.  At 2048 the paper-size dev split (about 1400
+# distinct windows) is one block; as two blocks of 1024 it scored 8-10%
+# slower, as the second block projects shared tokens again and each block
+# ends with a worker idle.
 PREDICT_BLOCK = 2048
 
 
@@ -197,8 +199,8 @@ class WindowClassifier(_Network):
         """The prediction path: ``fn(rows, features)`` of each chunk, where
         ``rows`` is the chunk's slice of ``token_ids`` and ``features`` a
         constant Tensor of its :meth:`features` values; the results are
-        concatenated along axis 0.  No rows are one empty chunk.  BLAS runs
-        on one thread (:mod:`noisylab.parallel`).
+        concatenated along axis 0 in chunk order.  No rows are one empty
+        chunk.  BLAS runs on one thread (:mod:`noisylab.parallel`).
 
         A chunk is ``eval_batch // 2`` rows (all rows by default), so that
         two workers hold at most ``eval_batch`` rows at once; it depends on
@@ -207,13 +209,16 @@ class WindowClassifier(_Network):
         whole chunks, with no cache for a backward pass.  In a block each
         direction projects the distinct tokens once and then advances each
         distinct window prefix of each chunk once, one task per chunk and
-        direction.  Where
+        direction.  The task that finishes a chunk's second direction calls
+        ``fn`` on it, so only the chunks in flight hold features.  Where
         :func:`noisylab.parallel.concurrent` allows it for the call's largest
         chunk x 4H (decided once per call), the two projections, and then the
         tasks, run on two workers, each taking the next task when done with
-        one.  A block's prefix plans are read from ``plans``, a dict keyed by
-        (steps, chunk, block start) that a caller scoring the same ids again
-        passes each time, or built and stored in it.
+        one; ``fn`` then runs on either thread, so it must not write what
+        another chunk's ``fn`` reads.  A block's prefix plans are read from
+        ``plans``, a dict keyed by (steps, chunk, block start) that a caller
+        scoring the same ids again passes each time, or built and stored in
+        it.
         """
         ids = np.atleast_2d(token_ids)
         steps, H = self.steps, self.hidden_size
@@ -222,6 +227,7 @@ class WindowClassifier(_Network):
         block = max(PREDICT_BLOCK // chunk, 1) * chunk
         plans = {} if plans is None else plans
         table, directions = self.embedding.values, self._directions
+        lock = threading.Lock()
         out = []
         for start in range(0, max(ids.shape[0], 1), block):
             rows = ids[start:start + block]
@@ -238,16 +244,22 @@ class WindowClassifier(_Network):
 
             def scan(task):
                 d, i = task
-                feats[i * chunk:(i + 1) * chunk, d * H:(d + 1) * H] = kernels.lstm_last_hidden(
-                    proj[d], plan[d].chunks[i], directions[d][1].values)
+                h = kernels.lstm_last_hidden(proj[d], plan[d].chunks[i], directions[d][1].values)
+                with lock:  # a chunk's first direction to finish leaves its half here
+                    feats = waiting.pop(i, None)
+                    last = feats is not None
+                    if not last:
+                        feats = waiting[i] = np.empty((h.shape[0], 2 * H), h.dtype)
+                    feats[:, d * H:(d + 1) * H] = h
+                if last:
+                    results[i] = fn(slice(start + i * chunk, start + (i + 1) * chunk),
+                                    Tensor(feats))
 
             proj = parallel.both(lambda: project(0), lambda: project(1), at_once)
-            feats = np.empty((rows.shape[0], 2 * H), table.dtype)
-            parallel.each(scan, ((d, i) for i in range(len(plan[0].chunks)) for d in (0, 1)),
+            waiting, results = {}, [None] * len(plan[0].chunks)
+            parallel.each(scan, ((d, i) for i in range(len(results)) for d in (0, 1)),
                           at_once)
-            for offset in range(0, max(feats.shape[0], 1), chunk):
-                out.append(fn(slice(start + offset, start + offset + chunk),
-                              Tensor(feats[offset:offset + chunk])))
+            out.extend(results)
         return np.concatenate(out)
 
     def infer_features(self, token_ids):

@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+from noisylab import parallel
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -31,3 +33,19 @@ def test_runs_every_column_on_small_shapes(bench_kernels, capsys):
     assert rows["(8, 7, 4, 3)"].count("[") == len(bench_kernels.COLUMNS)
     assert rows["(20, 7, 6, 5)"].count("[") == len(bench_kernels.COLUMNS)
     assert rows["(4, 3, 2)"].count("[") == 1
+
+
+def test_times_under_one_blas_thread_and_says_whether_the_pin_took(bench_kernels,
+                                                                   monkeypatch, capsys):
+    counts = []
+    time_ms = bench_kernels.time_ms
+
+    def spy(fn):
+        counts.append(parallel._blas_threads()[1]() if parallel.can_pin() else None)
+        return time_ms(fn)
+
+    monkeypatch.setattr(bench_kernels, "time_ms", spy)
+    bench_kernels.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert f"BLAS pinned to one thread: {'yes' if parallel.can_pin() else 'no'}" in lines
+    assert counts and set(counts) == ({1} if parallel.can_pin() else {None})

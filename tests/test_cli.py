@@ -152,6 +152,16 @@ class TestSimulateNoise:
         assert f"error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_untagged_input_exits_2_naming_it(self, tmp_path, capsys):
+        untagged = tmp_path / "untagged.conll"
+        untagged.write_text("a\nb\n\nc\n", encoding="utf-8")
+        out = tmp_path / "out.conll"
+        code = main(["simulate-noise", "--input", str(untagged), "--output", str(out),
+                     "--kind", "uniform"])
+        assert code == 2
+        assert f"error: {untagged}: corpus is not labeled\n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInitTheta:
     def test_weights_from_aligned_files(self, toy_dir, tmp_path):
@@ -203,6 +213,20 @@ class TestInitTheta:
                      "--output", str(out)])
         assert code == 2
         assert (f"error: {clean} and {noisy} differ at sentence {number}\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("untagged", ["clean", "noisy"])
+    def test_untagged_file_exits_2_naming_it(self, tmp_path, capsys, untagged):
+        files = {"clean": tmp_path / "clean.conll", "noisy": tmp_path / "noisy.conll"}
+        for name, path in files.items():
+            text = "a\nb\n\nc\nd\n" if name == untagged else "a O\nb O\n\nc O\nd O\n"
+            path.write_text(text, encoding="utf-8")
+        out = tmp_path / "b.csv"
+        code = main(["init-theta", "--clean", str(files["clean"]),
+                     "--noisy", str(files["noisy"]), "--output", str(out)])
+        assert code == 2
+        assert (f"error: {files[untagged]}: corpus is not labeled\n"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -569,6 +593,16 @@ class TestBadInputFilesExit2:
             argv = ["train", "--config", str(cfg), "--out", str(out)]
         assert main(argv) == 2
         assert f"error: {gaz}:2: class 'XYZ' is not one of O, PER" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_untagged_evaluation_file_names_the_file(self, run_dir, tmp_path, capsys):
+        untagged = tmp_path / "untagged.conll"
+        untagged.write_text("a\nb\n\nc\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["evaluate", "--checkpoint", str(run_dir / "checkpoint.npz"),
+                     "--test", str(untagged), "--out", str(out)])
+        assert code == 2
+        assert f"error: {untagged}: corpus is not labeled\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])

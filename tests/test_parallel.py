@@ -389,6 +389,51 @@ class TestModelPaths:
         assert len({name for name, _ in scans}) == 2
         np.testing.assert_array_equal(halves, one_chunk)
 
+    def test_streamed_prediction_equals_serial_one_chunk_at_a_time(self, tiny, monkeypatch):
+        # two workers, with chunk 0's fn held back while the other worker
+        # finishes the later chunks: results still come back in chunk
+        # order, bit for bit as serial, and no fn sees more than its chunk
+        config, data = tiny
+        model = WindowClassifier(data.embedding_table, k=data.k, hidden_size=10,
+                                 dense_size=8, seed=2)
+        ids = np.unique(data.dev.token_ids, axis=0)
+        eval_batch = 64
+        chunk = eval_batch // 2
+        assert ids.shape[0] > 4 * chunk
+        calls = []
+        infer = model.infer
+
+        def infer_spy(token_ids, fn, *args):
+            def fn_spy(rows, feats):
+                calls.append((rows.start, threading.current_thread().name, feats.values,
+                              blas_threads() if parallel.can_pin() else 1))
+                if rows.start == 0:
+                    time.sleep(0.05)
+                return fn(rows, feats)
+            return infer(token_ids, fn_spy, *args)
+
+        monkeypatch.setattr(model, "infer", infer_spy)
+
+        def outputs(at_once):
+            with monkeypatch.context() as m:
+                m.setattr(parallel, "concurrent", lambda rows, width: at_once)
+                return (model.predict(ids, eval_batch),
+                        model.infer(ids, lambda rows, feats: feats.values, eval_batch),
+                        model.infer_features(ids[:chunk]))
+
+        serial = outputs(False)
+        calls.clear()
+        streamed = outputs(True)
+        for a, b in zip(streamed, serial):
+            assert a.tobytes() == b.tobytes()
+        starts = list(range(0, ids.shape[0], chunk))
+        assert sorted(start for start, *_ in calls) == sorted(2 * starts + [0])
+        for _, _, feats, count in calls:
+            assert feats.shape[0] <= chunk
+            assert feats.base is None or feats.base.shape[0] <= chunk
+            assert count == 1
+        assert len({name for _, name, _, _ in calls}) == 2
+
     @needs_pin
     def test_prediction_does_not_depend_on_the_cpu_count(self, monkeypatch):
         # the acceptance sizes (4H = 96, eval_batch 512) on toy corpus 31,
