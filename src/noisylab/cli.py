@@ -58,6 +58,7 @@ def cmd_annotate(args):
 
 
 def cmd_simulate_noise(args):
+    check_range("seed", args.seed, "--seed")
     label_set = _label_set(args.labels)
     spec = build_channel_spec(args.kind, label_set, args.seed, rho=args.rho,
                               permutation=args.permutation, preset=args.preset,
@@ -90,29 +91,26 @@ def cmd_init_theta(args):
     return 0
 
 
-def _load_corpora(config):
+def _load_inputs(config, config_file):
+    """The three corpora and, for gazetteer labels, the gazetteer at the
+    paths ``config`` sets; an unset path is an error naming its key and
+    ``config_file``, raised before any of them is read."""
+    keys = ["train_path", "dev_path", "test_path"]
+    gazetteer = config.noisy_source == "gazetteer"
+    for key in keys + ["gazetteer_path"] * gazetteer:
+        if not getattr(config, key):
+            raise ValueError(f"{config_file}: {key} is not set")
     label_set = config.label_set()
-    train = _parse(config.train_path, label_set)
-    dev = _parse(config.dev_path, label_set)
-    test = _parse(config.test_path, label_set)
-    return train, dev, test
-
-
-def _maybe_gazetteer(config):
-    if config.noisy_source != "gazetteer":
-        return None
-    return Gazetteer.load(
-        config.gazetteer_path,
-        blocklist_path=config.blocklist_path or None,
-        classes=config.label_set().classes,
-    )
+    corpora = [_parse(getattr(config, key), label_set) for key in keys]
+    return corpora, (Gazetteer.load(config.gazetteer_path,
+                                    blocklist_path=config.blocklist_path or None,
+                                    classes=label_set.classes) if gazetteer else None)
 
 
 def cmd_train(args):
     config = ExperimentConfig.load(args.config)
-    train_corpus, dev_corpus, test_corpus = _load_corpora(config)
-    data = prepare(config, train_corpus, dev_corpus, test_corpus,
-                   gazetteer=_maybe_gazetteer(config))
+    corpora, gaz = _load_inputs(config, args.config)
+    data = prepare(config, *corpora, gazetteer=gaz)
     records = []
     result = training.train_variant(
         config.variant, data, config, trial_seed=config.seed,
@@ -178,11 +176,8 @@ def _sweep_values(text, axis):
 def cmd_sweep(args):
     config = ExperimentConfig.load(args.config)
     values = _sweep_values(args.values, args.axis)
-    train_corpus, dev_corpus, test_corpus = _load_corpora(config)
-    rows = training.sweep(
-        args.axis, values, config.variant, train_corpus, dev_corpus,
-        test_corpus, config, gazetteer=_maybe_gazetteer(config),
-    )
+    corpora, gaz = _load_inputs(config, args.config)
+    rows = training.sweep(args.axis, values, config.variant, *corpora, config, gazetteer=gaz)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "resolved_config.txt"), config.to_text())
     atomic_write_text(os.path.join(args.out, "sweep.csv"), training.sweep_csv(rows))
@@ -193,7 +188,7 @@ def cmd_sweep(args):
 def cmd_report(args):
     _, _, label_set, _, noise, extras = ckpt.load_checkpoint(args.checkpoint)
     if noise is None:
-        raise ValueError("checkpoint has no noise layer")
+        raise ValueError(f"{args.checkpoint}: checkpoint has no noise layer")
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "theta.csv"),
                       evaluation.matrix_csv(noise.theta(), label_set))
@@ -204,6 +199,10 @@ def cmd_report(args):
 
 
 def cmd_toydata(args):
+    check_range("seed", args.seed, "--seed")
+    for flag in ("train", "dev", "test"):
+        if (tokens := getattr(args, f"{flag}_tokens")) <= 0:
+            raise ValueError(f"--{flag}-tokens = {tokens} must be > 0")
     os.makedirs(args.out, exist_ok=True)
     train, dev, test = generate_splits(
         args.seed, train_tokens=args.train_tokens,

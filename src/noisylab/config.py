@@ -32,6 +32,7 @@ BOUNDS = {
     "in [0, 1)": lambda x: 0 <= x < 1,
 }
 RANGES = {
+    "seed": ">= 0",
     "n_seeds": "> 0",
     "clean_budget": "> 0",
     "epochs": "> 0",

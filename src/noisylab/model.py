@@ -8,7 +8,6 @@ over the features of :meth:`WindowClassifier.infer`, a pinned, cache-free
 scan; the two own every rule of prediction.
 """
 
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -207,10 +206,10 @@ class WindowClassifier(_Network):
         nothing else, so the numbers do not depend on the machine.  The
         rows are scanned in blocks of PREDICT_BLOCK rows, rounded down to
         whole chunks, with no cache for a backward pass.  In a block each
-        direction projects the distinct tokens once and then advances each
-        distinct window prefix of each chunk once, one task per chunk and
-        direction.  The task that finishes a chunk's second direction calls
-        ``fn`` on it, so only the chunks in flight hold features.  Where
+        direction projects the distinct tokens once; then one task per chunk
+        advances each distinct window prefix of the chunk once, forward
+        direction first, and calls ``fn`` on the chunk's features, so only
+        the chunks in flight hold features.  Where
         :func:`noisylab.parallel.concurrent` allows it for the call's largest
         chunk x 4H (decided once per call), the two projections, and then the
         tasks, run on two workers, each taking the next task when done with
@@ -227,7 +226,6 @@ class WindowClassifier(_Network):
         block = max(PREDICT_BLOCK // chunk, 1) * chunk
         plans = {} if plans is None else plans
         table, directions = self.embedding.values, self._directions
-        lock = threading.Lock()
         out = []
         for start in range(0, max(ids.shape[0], 1), block):
             rows = ids[start:start + block]
@@ -242,23 +240,15 @@ class WindowClassifier(_Network):
                 return kernels.project(table.take(plan[d].tokens, axis=0), w_in.values,
                                        bias.values)
 
-            def scan(task):
-                d, i = task
-                h = kernels.lstm_last_hidden(proj[d], plan[d].chunks[i], directions[d][1].values)
-                with lock:  # a chunk's first direction to finish leaves its half here
-                    feats = waiting.pop(i, None)
-                    last = feats is not None
-                    if not last:
-                        feats = waiting[i] = np.empty((h.shape[0], 2 * H), h.dtype)
-                    feats[:, d * H:(d + 1) * H] = h
-                if last:
-                    results[i] = fn(slice(start + i * chunk, start + (i + 1) * chunk),
-                                    Tensor(feats))
+            def scan(i):
+                feats = np.concatenate([kernels.lstm_last_hidden(proj[d], plan[d].chunks[i],
+                                                                 directions[d][1].values)
+                                        for d in (0, 1)], axis=1)
+                results[i] = fn(slice(start + i * chunk, start + (i + 1) * chunk), Tensor(feats))
 
             proj = parallel.both(lambda: project(0), lambda: project(1), at_once)
-            waiting, results = {}, [None] * len(plan[0].chunks)
-            parallel.each(scan, ((d, i) for i in range(len(results)) for d in (0, 1)),
-                          at_once)
+            results = [None] * len(plan[0].chunks)
+            parallel.each(scan, range(len(results)), at_once)
             out.extend(results)
         return np.concatenate(out)
 

@@ -60,6 +60,20 @@ class TestToydata:
             assert corpus.token_count > 0
         assert "\t" in read(toy_dir / "gazetteer.tsv")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--train-tokens", "0"], "--train-tokens = 0 must be > 0"),
+        (["--train-tokens", "-5"], "--train-tokens = -5 must be > 0"),
+        (["--dev-tokens", "0"], "--dev-tokens = 0 must be > 0"),
+        (["--test-tokens", "-3"], "--test-tokens = -3 must be > 0"),
+        (["--seed", "-1"], "--seed = -1 must be >= 0"),
+    ], ids=["train-zero", "train-negative", "dev-zero", "test-negative", "seed-negative"])
+    def test_bad_flag_exits_2_naming_it_and_writes_nothing(self, tmp_path, capsys, flags,
+                                                           message):
+        out = tmp_path / "toy"
+        assert main(["toydata", "--out", str(out), *flags]) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnnotate:
     def test_annotate_writes_labeled_corpus(self, toy_dir, tmp_path):
@@ -142,7 +156,8 @@ class TestSimulateNoise:
         (["--labels", "O,A,B", "--preset", "gazetteer-like"],
          "--preset = 'gazetteer-like' is a channel over 5 classes, "
          "but --labels = 'O,A,B' has 3"),
-    ], ids=["preset", "rho", "permutation", "preset-size"])
+        (["--preset", "gazetteer-like", "--seed", "-1"], "--seed = -1 must be >= 0"),
+    ], ids=["preset", "rho", "permutation", "preset-size", "seed"])
     def test_bad_channel_flag_exits_2_naming_it(self, toy_dir, tmp_path, capsys, flags,
                                                 message):
         out = tmp_path / "noisy.conll"
@@ -339,6 +354,21 @@ class TestTrainEvaluateReport:
         _, b = parse_matrix_csv(read(out / "noise_b.csv"))
         assert b.shape == (5, 5)
 
+    def test_report_without_noise_layer_names_the_checkpoint(
+            self, tiny_config_text, tmp_path, capsys):
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(tiny_config_text.replace("variant = noise-model", "variant = base-model")
+                       .replace(f"epochs = {TINY_EPOCHS}", "epochs = 1"), encoding="utf-8")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "rep"
+        code = main(["report", "--checkpoint", str(run / "checkpoint.npz"), "--out", str(out)])
+        assert code == 2
+        assert (f"error: {run / 'checkpoint.npz'}: checkpoint has no noise layer\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_cleaning_model_checkpoint_rescores_to_the_summary_f1(
             self, toy_dir, tiny_config_text, tmp_path):
         # the cleaning network never takes part in prediction, so the
@@ -450,8 +480,9 @@ class TestConfigRejected:
         ("alpha = 1.0", "alpha = inf", "alpha = inf must be finite"),
         ("noisy_factor = 1.0", "noisy_factor = inf", "noisy_factor = inf must be finite"),
         ("learning_rate = 0.01", "learning_rate = inf", "learning_rate = inf must be finite"),
+        ("seed = 3", "seed = -1", "seed = -1 must be >= 0"),
     ], ids=["hidden_size", "cleaner_proj_size", "alpha", "alpha-inf", "noisy_factor-inf",
-            "learning_rate-inf"])
+            "learning_rate-inf", "seed"])
     def test_bad_size_or_alpha_exits_2_naming_it(self, tiny_config_text, tmp_path, capsys,
                                                  old, new, message):
         assert f"\n{old}\n" in tiny_config_text
@@ -464,6 +495,33 @@ class TestConfigRejected:
         assert f"error: {message}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("key", ["train_path", "dev_path", "test_path", "gazetteer_path"])
+    def test_unset_path_key_exits_2_naming_it_and_the_file(
+            self, tiny_config_text, tmp_path, capsys, monkeypatch, command, key):
+        from noisylab import training
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(training, "train_variant", no_run)
+        monkeypatch.setattr(training, "sweep", no_run)
+        line = next(line for line in tiny_config_text.splitlines()
+                    if line.startswith(f"{key} = "))
+        text = tiny_config_text.replace(f"\n{line}\n", f"\n{key} = \n")
+        if key == "gazetteer_path":
+            text = text.replace("\nnoisy_source = channel\n", "\nnoisy_source = gazetteer\n")
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "run"
+        argv = {"train": ["train"],
+                "sweep": ["sweep", "--axis", "noisy-factor", "--values", "1"]}[command]
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: {key} is not set\n" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_noisy_factor_beyond_the_pool_stops_before_training(
             self, tiny_config_text, tmp_path, capsys, monkeypatch):

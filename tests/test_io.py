@@ -409,6 +409,7 @@ class TestExperimentConfig:
 
 
     @pytest.mark.parametrize("key, bad, bound", [
+        ("seed", -1, ">= 0"),
         ("epochs", 0, "> 0"),
         ("batch_size", -32, "> 0"),
         ("eval_batch_size", 0, "> 0"),
@@ -490,7 +491,7 @@ class TestExperimentConfig:
         assert ExperimentConfig.from_text(config.to_text()) == config
 
     def test_range_edges_accepted(self):
-        config = ExperimentConfig(pretrain_epochs=0, beta1=0.0, beta2=0.0,
+        config = ExperimentConfig(seed=0, pretrain_epochs=0, beta1=0.0, beta2=0.0,
                                   noisy_factor=0.0, alpha=1e-12, epochs=1, batch_size=1,
                                   eval_batch_size=1, n_seeds=1, clean_budget=1,
                                   embedding_dim=1, hidden_size=1, dense_size=1,
