@@ -375,8 +375,6 @@ def bilstm_last(table, scans, directions):
     H = weights[0][1].shape[0]
     tokens, inverse = np.unique(np.stack(ids), return_inverse=True)
     inverse = inverse.reshape(2, B, T)
-    if tokens.size == 1:  # two rows, so that the projection is a GEMM (see kernels)
-        tokens = np.repeat(tokens, 2)
     rows = table.values.take(tokens, axis=0)
     # a leaf weight of a direction gets its gradient on that direction's
     # thread; both directions sharing one would race

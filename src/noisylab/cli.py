@@ -170,6 +170,8 @@ def _sweep_values(text, axis):
             raise ValueError(f"--values = {value!r} is not a whole number of windows")
         check_range(key, value, "--values")
         values.append(value)
+    if not values:
+        raise ValueError(f"--values = {text!r} holds no number")
     return values
 
 

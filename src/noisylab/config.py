@@ -184,5 +184,10 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path):
+        """The config in file ``path``; a parse or range error names the file."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+            text = fh.read()
+        try:
+            return cls.from_text(text)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None

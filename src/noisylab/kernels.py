@@ -11,11 +11,9 @@ the distinct tokens; the prediction scan starts from a projection of the
 distinct tokens of all its chunks of rows and advances each distinct
 prefix of a chunk once, following a :class:`PrefixPlan` worked out from
 the ids alone, which a caller that scans the same ids again may keep.
-
-A row of a GEMM does not depend on the other rows, as long as there are
-at least two: numpy computes a one-row product as GEMV, which rounds
-otherwise.  So a distinct token's projection equals, bit for bit, that of
-each of its occurrences.
+Every product over rows of tokens, prefixes, windows or positions goes
+through :func:`_gemm`, so a row's result does not depend on the rows
+computed with it (see there).
 
 Gate layout along the last axis of the packed weight matrices is
 (input, forget, cell, output), each block of width H.  Internally the
@@ -30,10 +28,32 @@ from typing import NamedTuple
 import numpy as np
 
 
+def _gemm(a, b, out=None):
+    """``np.dot(a, b, out=out)`` for a 2-d ``a``, always computed as a GEMM.
+
+    A row of a GEMM does not depend on the other rows, but numpy computes
+    a one-row product as GEMV, which rounds otherwise.  So a one-row ``a``
+    is stacked twice and the first result row kept: a distinct token's
+    projection then equals, bit for bit, that of each of its occurrences,
+    and a window's state does not depend on the windows scanned with it.
+    That holds while OpenBLAS runs every row count through kernels that
+    round alike, as it does for the scans' products at K = 16, 24 or 300;
+    at K = 600 or 1200 its small-matrix kernel (M * N * K up to about 1e6)
+    rounds otherwise than its blocked one.
+    """
+    if a.shape[0] != 1:
+        return np.dot(a, b, out=out)
+    row = np.dot(np.concatenate((a, a)), b)[:1]
+    if out is None:
+        return row
+    out[...] = row
+    return out
+
+
 def project(rows, w_in, bias):
     """Pre-activations ``rows @ w_in + bias`` of rows (N, E), as one GEMM
     and then the bias."""
-    a = np.dot(rows, w_in)
+    a = _gemm(rows, w_in)
     a += bias
     return a
 
@@ -86,7 +106,7 @@ def lstm_forward(x, w_in, w_rec, bias, gates=None):
     for t in range(T):
         a = gates[t]
         if t > 0:
-            a += np.dot(h_tm[t - 1], w_rec, out=rec)
+            a += _gemm(h_tm[t - 1], w_rec, out=rec)
             c_prev = c_all[t - 1]
         _cell_step(a, c_prev, c_all[t], tc_all[t], h_tm[t])
     return h_tm.transpose(1, 0, 2), c_all, tc_all, gates
@@ -179,7 +199,7 @@ def lstm_last_hidden(proj, chunk, w_rec):
         else:
             # the GEMM's result is freed before the projection is gathered,
             # so two gate-sized arrays are alive, not three
-            a = np.dot(h, w_rec).take(parent, axis=0)
+            a = _gemm(h, w_rec).take(parent, axis=0)
             a += proj.take(tok, axis=0)
             c = c.take(parent, axis=0)
         h = h_buf[:tok.size]
@@ -250,7 +270,7 @@ def lstm_backward(x, w_in, w_rec, h_all, c_all, tc_all, gates, dh_all, need_dx,
         d4[t, :, :3] *= dc[:, None, :]
         d4[t, :, 3] *= dh
         if t > 0:
-            np.dot(da_all[t], w_rec_t, out=dh)
+            _gemm(da_all[t], w_rec_t, out=dh)
             dc *= gf[t]
     da_flat = da_all.reshape(T * B, 4 * H)
     xs = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(T * B, E)
@@ -264,7 +284,7 @@ def lstm_backward(x, w_in, w_rec, h_all, c_all, tc_all, gates, dh_all, need_dx,
     dbias = _add_into(g_bias, da_flat.sum(0))
     dx = None
     if need_dx:
-        dx = np.dot(da_flat, w_in.T).reshape(T, B, E).transpose(1, 0, 2)
+        dx = _gemm(da_flat, w_in.T).reshape(T, B, E).transpose(1, 0, 2)
     return dx, dw_in, dw_rec, dbias
 
 

@@ -335,24 +335,21 @@ def train_variant(variant, data: SplitDataset, config, trial_seed,
     )
 
 
-def run_trials(variant, data: SplitDataset, config, n_seeds=None,
-               metrics_sink=None):
-    """Independent seeded trials; reports mean test F1 and standard error
-    (sample standard deviation over the square root of the trial count)."""
-    n = config.n_seeds if n_seeds is None else n_seeds
-    if n < 1:
-        raise ValueError("need at least one trial")
+def run_trials(variant, data: SplitDataset, config, metrics_sink=None):
+    """``config.n_seeds`` independent seeded trials; reports mean test F1
+    and standard error (sample standard deviation over the square root of
+    the trial count)."""
     trials = [
         train_variant(variant, data, config, trial_seed=config.seed + i,
                       metrics_sink=metrics_sink)
-        for i in range(n)
+        for i in range(config.n_seeds)
     ]
     mean, se = mean_and_se([t.test_f1 for t in trials])
     return TrialsSummary(
         variant=variant,
         mean_f1=mean,
         se=se,
-        n_seeds=n,
+        n_seeds=config.n_seeds,
         trials=trials,
     )
 

@@ -1,5 +1,6 @@
 """End-to-end command-line runs on tiny bundled fixtures."""
 
+import dataclasses
 import json
 import os
 
@@ -268,7 +269,7 @@ class TestLabelsRejected:
         cfg.write_text(tiny_config_text.replace(old, "\nlabels = A,B\n"), encoding="utf-8")
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 2
-        assert ("error: labels = 'A,B': LabelSet must contain the null class O"
+        assert (f"error: {cfg}: labels = 'A,B': LabelSet must contain the null class O"
                 in capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
 
@@ -416,7 +417,7 @@ class TestConfigRejected:
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: dtype = 'flaot32' is not one of float32, float64" in err
+        assert f"error: {cfg}: dtype = 'flaot32' is not one of float32, float64" in err
         assert not (tmp_path / "run").exists()
 
 
@@ -433,7 +434,7 @@ class TestConfigRejected:
         cfg.write_text("\n".join(lines), encoding="utf-8")
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 2
-        assert (f"error: line {lineno}: {key} = {bad!r} is not {kind}\n"
+        assert (f"error: {cfg}: line {lineno}: {key} = {bad!r} is not {kind}\n"
                 in capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
 
@@ -445,19 +446,19 @@ class TestConfigRejected:
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: eval_batch_size = 0 must be > 0" in err
+        assert f"error: {cfg}: eval_batch_size = 0 must be > 0" in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("edits, message", [
         ({"channel_preset = gazetteer-like": "channel_preset = gazeteer-like"},
-         "error: channel_preset = 'gazeteer-like' is not one of gazetteer-like"),
+         "channel_preset = 'gazeteer-like' is not one of gazetteer-like"),
         ({"channel_kind = empirical": "channel_kind = permutation",
           "channel_permutation = ": "channel_permutation = O,PER,ORG,LOC,MISX"},
-         "error: channel_permutation = 'O,PER,ORG,LOC,MISX' must name each of "
+         "channel_permutation = 'O,PER,ORG,LOC,MISX' must name each of "
          "O, PER, ORG, LOC, MISC once"),
         ({"channel_kind = empirical": "channel_kind = uniform",
           "channel_rho = 0.0": "channel_rho = 1.5"},
-         "error: channel_rho = 1.5 must be in [0, 1]"),
+         "channel_rho = 1.5 must be in [0, 1]"),
     ], ids=["preset", "permutation", "rho"])
     def test_bad_channel_key_exits_2_naming_it(self, tiny_config_text, tmp_path, capsys,
                                               edits, message):
@@ -469,7 +470,7 @@ class TestConfigRejected:
         cfg.write_text(text, encoding="utf-8")
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("old, new, message", [
@@ -492,7 +493,7 @@ class TestConfigRejected:
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"error: {message}" in err
+        assert f"error: {cfg}: {message}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
@@ -745,6 +746,21 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert f"error: {message}\n" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", [",", " , ,"])
+    def test_no_value_exits_2_naming_the_flag_before_reading_any_corpus(
+            self, tiny_config_text, tmp_path, capsys, values):
+        missing = {f"{split}_path": str(tmp_path / "missing" / f"{split}.conll")
+                   for split in ("train", "dev", "test")}
+        config = dataclasses.replace(ExperimentConfig.from_text(tiny_config_text), **missing)
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(config.to_text(), encoding="utf-8")
+        out = tmp_path / "sweepout"
+        code = main(["sweep", "--config", str(cfg), "--axis", "noisy-factor", "--values",
+                     values, "--out", str(out)])
+        assert code == 2
+        assert f"error: --values = {values!r} holds no number\n" in capsys.readouterr().err
         assert not out.exists()
 
 

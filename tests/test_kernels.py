@@ -196,6 +196,19 @@ def test_last_hidden_single_row():
             got, oracle_last_hidden(table, ids, w_in, w_rec, bias, steps), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("k, n", [(16, 96), (24, 96), (300, 1200)])
+def test_gemm_of_one_row_is_that_row_of_a_larger_gemm(k, n):
+    # numpy runs a one-row np.dot as GEMV, which rounds otherwise
+    rng = np.random.default_rng(21)
+    a, b = rng.standard_normal((300, k)), rng.standard_normal((k, n))
+    full = np.dot(a, b)
+    for i in (0, 7, 299):
+        assert kernels._gemm(a[i:i + 1], b).tobytes() == full[i:i + 1].tobytes()
+        out = np.empty((1, n))
+        assert kernels._gemm(a[i:i + 1], b, out=out) is out
+        assert out.tobytes() == full[i:i + 1].tobytes()
+
+
 def test_last_hidden_empty_batch():
     table, ids, w_in, w_rec, bias = make_window_inputs(np.random.default_rng(18), t=7)
     got = last_hidden(table, ids[:0], w_in, w_rec, bias, 7)

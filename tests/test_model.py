@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noisylab.autodiff as ad
-from noisylab import kernels
+from noisylab import kernels, parallel
 from noisylab.autodiff import Tensor, cross_entropy, gradient_check
+from noisylab.config import ExperimentConfig
+from noisylab.data import prepare
 from noisylab.model import (
     WINDOW_RADIUS,
     CleaningNetwork,
@@ -20,6 +22,7 @@ from noisylab.model import (
     theta_from_b,
     token_windows,
 )
+from noisylab.toydata import generate_splits
 
 
 def build_window(sentence, target_index, pad):
@@ -287,6 +290,49 @@ class TestBaseForward:
         assert frozen.parameters() == [getattr(frozen, n) for n in frozen.STATE[1:]]
         trainable = tiny_model(trainable_embeddings=True)
         assert trainable.parameters() == [getattr(trainable, n) for n in trainable.STATE]
+
+
+class TestFeaturesDependOnTheWindowAlone:
+    """Every LSTM product is a GEMM, whose rows do not depend on each other,
+    so prediction reads exactly the features training computes."""
+
+    @pytest.fixture(scope="class")
+    def dev(self):
+        # the acceptance sizes on toy corpus 0, with LSTM biases away from
+        # their zero start, as after training
+        config = ExperimentConfig(seed=0, clean_budget=400, embedding_dim=16, hidden_size=24,
+                                  dense_size=16)
+        data = prepare(config, *generate_splits(0))
+        model = WindowClassifier(data.embedding_table, k=data.k, hidden_size=24,
+                                 dense_size=16, seed=1)
+        rng = np.random.default_rng(0)
+        for bias in (model.fw_bias, model.bw_bias):
+            bias.values[...] = rng.standard_normal(bias.shape) * 0.5
+        return model, np.unique(data.dev.token_ids, axis=0)
+
+    @staticmethod
+    def features(model, ids):
+        with parallel.one_blas_thread():
+            return model.features(ids).values
+
+    @pytest.mark.parametrize("eval_batch", [None, 2, 3, 4, 64, 512])
+    def test_infer_equals_features_for_every_eval_batch(self, dev, eval_batch):
+        model, ids = dev
+        got = model.infer(ids, lambda rows, feats: feats.values, eval_batch)
+        assert got.tobytes() == self.features(model, ids).tobytes()
+
+    def test_window_of_one_repeated_id(self, dev):
+        model, ids = dev
+        window = np.full((1, 7), ids[5, 3])
+        assert (model.infer_features(window).tobytes()
+                == self.features(model, window).tobytes())
+
+    def test_batch_equals_each_window_scanned_alone(self, dev):
+        model, ids = dev
+        batch = ids[:64]
+        alone = np.concatenate([self.features(model, batch[i:i + 1])
+                                for i in range(batch.shape[0])])
+        assert alone.tobytes() == self.features(model, batch).tobytes()
 
 
 class TestCleaningNetwork:

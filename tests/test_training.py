@@ -348,8 +348,8 @@ class TestRunTrials:
         assert se == pytest.approx(0.7071067811865476, abs=1e-9)
 
     def test_single_seed_is_degenerate_with_zero_se(self, tiny_data):
-        config = dataclasses.replace(TINY, epochs=2)
-        summary = run_trials("base-model", tiny_data, config, n_seeds=1)
+        config = dataclasses.replace(TINY, epochs=2, n_seeds=1)
+        summary = run_trials("base-model", tiny_data, config)
         assert summary.se == 0.0
         assert summary.n_seeds == 1
 
@@ -364,9 +364,9 @@ class TestRunTrials:
             assert ta.test_f1 == tb.test_f1
             np.testing.assert_array_equal(ta.theta, tb.theta)
 
-    def test_zero_trials_rejected(self, tiny_data):
-        with pytest.raises(ValueError):
-            run_trials("base-model", tiny_data, TINY, n_seeds=0)
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="n_seeds = 0 must be > 0"):
+            dataclasses.replace(TINY, n_seeds=0)
 
 
 class TestSweep:
