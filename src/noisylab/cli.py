@@ -111,28 +111,25 @@ def cmd_train(args):
     config = ExperimentConfig.load(args.config)
     corpora, gaz = _load_inputs(config, args.config)
     data = prepare(config, *corpora, gazetteer=gaz)
-    records = []
-    result = training.train_variant(
-        config.variant, data, config, trial_seed=config.seed,
-        metrics_sink=records.append,
-    )
+    result = training.train_variant(config.variant, data, config, trial_seed=config.seed)
+    dev_f1_history = [r["dev_f1"] for r in result.records]
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "resolved_config.txt"), config.to_text())
     atomic_write_text(
         os.path.join(args.out, "metrics.jsonl"),
-        "".join(jsonl_line(r) + "\n" for r in records),
+        "".join(jsonl_line(r) + "\n" for r in result.records),
     )
     ckpt.save_checkpoint(
         os.path.join(args.out, "checkpoint.npz"), result.model_state, data.vocab,
         data.label_set, config, noise_b=result.noise_b,
         selected_epoch=result.selected_epoch,
-        dev_f1_history=result.dev_f1_history,
+        dev_f1_history=dev_f1_history,
     )
     atomic_write_json(os.path.join(args.out, "summary.json"), {
         "variant": result.variant,
         "seed": result.seed,
         "selected_epoch": result.selected_epoch,
-        "dev_f1_history": result.dev_f1_history,
+        "dev_f1_history": dev_f1_history,
         "test_f1": result.test_f1,
         "test_report": result.test_report.as_dict(),
     })

@@ -167,12 +167,12 @@ class ExperimentConfig:
                 raise ValueError(f"line {lineno}: key {key!r} already set on line {set_on[key]}")
             set_on[key] = lineno
             ftype = fields[key].type
-            if ftype in (bool, "bool"):
+            if ftype is bool:
                 if value not in ("true", "false"):
                     raise ValueError(f"line {lineno}: {key} = {value!r} is not true or false")
                 values[key] = value == "true"
-            elif ftype in (int, "int", float, "float"):
-                number, article = (int, "an") if ftype in (int, "int") else (float, "a")
+            elif ftype in (int, float):
+                number, article = (int, "an") if ftype is int else (float, "a")
                 try:
                     values[key] = number(value)
                 except ValueError:

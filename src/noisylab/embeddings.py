@@ -32,10 +32,11 @@ def load_embeddings(path, expected_dim=None):
 
     The table has PAD and UNK zero rows appended; the dimension is
     inferred from the first line unless ``expected_dim`` pins it.  A short
-    or long vector, or a component that is not a finite number, is an error
-    naming the file and line.
+    or long vector, a component that is not a finite number, or a word
+    listed twice is an error naming the file and line; so is a file with no
+    vector.
     """
-    words = []
+    line_of = {}  # word -> line of its vector
     vectors = []
     dim = expected_dim
     with open(path, encoding="utf-8") as fh:
@@ -58,12 +59,15 @@ def load_embeddings(path, expected_dim=None):
                 raise ValueError(f"{where}: non-numeric field") from None
             if not np.isfinite(vector).all():
                 raise ValueError(f"{where}: non-finite component")
+            if word in line_of:
+                raise ValueError(f"{where}: word {word!r} already on line {line_of[word]}")
+            line_of[word] = lineno
             vectors.append(vector)
-            words.append(word)
-    table = np.zeros((len(words) + 2, dim or 0), dtype=np.float64)
-    if vectors:
-        table[:len(words)] = np.asarray(vectors, dtype=np.float64)
-    return table, Vocabulary(words)
+    if not vectors:
+        raise ValueError(f"{path}: no word vectors")
+    table = np.zeros((len(vectors) + 2, dim), dtype=np.float64)
+    table[:len(vectors)] = np.asarray(vectors, dtype=np.float64)
+    return table, Vocabulary(line_of)
 
 
 def build_vocab_words(token_iter):

@@ -143,10 +143,10 @@ def entity_prf(gold, predicted, label_set: LabelSet, lengths=None) -> PRFReport:
     return PRFReport(per_class=per_class, overall=overall)
 
 
-def matrix_csv(matrix, label_set: LabelSet, corner="clean\\noisy") -> str:
+def matrix_csv(matrix, label_set: LabelSet) -> str:
     """Labeled CSV of a k-by-k matrix; rows are clean classes, columns noisy."""
     matrix = np.asarray(matrix)
-    lines = [",".join([corner] + list(label_set.classes))]
+    lines = [",".join(["clean\\noisy"] + list(label_set.classes))]
     for i, name in enumerate(label_set.classes):
         lines.append(",".join([name] + [repr(float(v)) for v in matrix[i]]))
     return "\n".join(lines) + "\n"

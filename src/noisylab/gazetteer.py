@@ -63,10 +63,11 @@ class Gazetteer:
         return len(self.entries)
 
     @classmethod
-    def load(cls, path, priority=DEFAULT_PRIORITY, blocklist_path=None, classes=None):
+    def load(cls, path, blocklist_path=None, classes=None):
         """Read "surface<TAB>CLASS" lines; blocklist file has one surface per line.
-        With ``classes``, a class outside them (MISC aside, which is skipped)
-        is an error naming the file and line."""
+        An empty surface, or with ``classes`` a class outside them (MISC
+        aside, which is skipped), is an error naming the file and line; so is
+        a file that yields no entry."""
         pairs = []
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -76,6 +77,8 @@ class Gazetteer:
                 if "\t" not in line:
                     raise ValueError(f"{path}:{lineno}: expected 'surface<TAB>CLASS'")
                 surface, entity_class = (part.strip() for part in line.rsplit("\t", 1))
+                if not surface:
+                    raise ValueError(f"{path}:{lineno}: empty surface")
                 if classes is not None and entity_class not in (*classes, "MISC"):
                     raise ValueError(f"{path}:{lineno}: class {entity_class!r} is not one of "
                                      f"{', '.join(classes)}")
@@ -83,7 +86,10 @@ class Gazetteer:
         blocklist = None
         if blocklist_path is not None:
             blocklist = list(DEFAULT_BLOCKLIST) + load_blocklist(blocklist_path)
-        return cls(pairs, priority=priority, blocklist=blocklist)
+        gazetteer = cls(pairs, blocklist=blocklist)
+        if not gazetteer.entries:
+            raise ValueError(f"{path}: no entry (MISC lines are skipped)")
+        return gazetteer
 
 
 def load_blocklist(path) -> list[str]:

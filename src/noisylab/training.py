@@ -82,7 +82,7 @@ def subsample_noisy(n_total, size, seed, epoch=0):
 class TrialResult:
     seed: int
     variant: str
-    dev_f1_history: list
+    records: list
     selected_epoch: int
     test_f1: float
     test_report: PRFReport
@@ -147,16 +147,17 @@ def train_pooled_epoch(model, clean_split, noisy_split, indices, optimizer,
 
 def _train_cleaner_pass(model, cleaner, clean_split, optimizer, rng, batch_size, k):
     """Fit the cleaning network on (C features, noisy labels) -> clean labels
-    with the absolute error loss.  Base weights are left untouched."""
+    with the absolute error loss.  Base weights are left untouched, so C's
+    features are computed once, before the first batch."""
     ids, y = clean_split.take(slice(None), "y")
     _, z = clean_split.take(slice(None), "z")
     dtype = cleaner.proj_w.values.dtype
+    features = model.infer_features(ids)
     order = rng.permutation(ids.shape[0])
     total = 0.0
     for start in range(0, len(order), batch_size):
         batch = order[start:start + batch_size]
-        feats = Tensor(model.infer_features(ids[batch]))
-        out = cleaner.forward(feats, one_hot(z[batch], k, dtype=dtype))
+        out = cleaner.forward(Tensor(features[batch]), one_hot(z[batch], k, dtype=dtype))
         loss = absolute_error(out, Tensor(one_hot(y[batch], k, dtype=dtype)))
         loss.backward()
         optimizer.step()
@@ -239,12 +240,12 @@ def noisy_subsample_size(variant, data, config):
 
 
 @parallel.one_blas_thread()
-def train_variant(variant, data: SplitDataset, config, trial_seed,
-                  metrics_sink=None):
+def train_variant(variant, data: SplitDataset, config, trial_seed):
     """Run one seeded trial of a variant; selects the best epoch by dev F1
-    (earliest epoch wins ties) and reports test scores from that epoch.
-    BLAS runs on one thread (:mod:`noisylab.parallel`), so the numbers do
-    not depend on the machine's core count."""
+    (earliest epoch wins ties), reports test scores from that epoch, and
+    returns each epoch's record, as ``metrics.jsonl`` holds it.  BLAS
+    runs on one thread (:mod:`noisylab.parallel`), so the numbers do not
+    depend on the machine's core count."""
     phases, init = _variant(variant)
     subsample_size = noisy_subsample_size(variant, data, config)
     k = data.k
@@ -265,7 +266,7 @@ def train_variant(variant, data: SplitDataset, config, trial_seed,
         opt_cleaner = _adam(cleaner.parameters(), config)
 
     dev_kept = {}  # dev's distinct rows and plans, reused by every epoch
-    dev_history = []
+    records = []
     best_f1 = -1.0
 
     for epoch, phase in enumerate(schedule(variant, config.epochs)):
@@ -298,26 +299,23 @@ def train_variant(variant, data: SplitDataset, config, trial_seed,
 
         dev_f1, dev_report = evaluate_split(model, data.dev, data.label_set,
                                             config.eval_batch_size, dev_kept)
-        dev_history.append(dev_f1)
         # dev F1 >= 0, so epoch 0 always sets the best state
         if dev_f1 > best_f1:
             best_f1 = dev_f1
             best_epoch = epoch
             best_state = model.state_dict()
             best_noise_b = None if noise is None else noise.b_matrix()
-        if metrics_sink is not None:
-            record = {
-                "variant": variant,
-                "seed": trial_seed,
-                "epoch": epoch,
-                "phase": phase,
-                "train_loss": loss,
-                "dev_f1": dev_f1,
-                "dev_per_class": dev_report.as_dict()["per_class"],
-            }
-            if cleaner_loss is not None:
-                record["cleaner_loss"] = cleaner_loss
-            metrics_sink(record)
+        records.append({
+            "variant": variant,
+            "seed": trial_seed,
+            "epoch": epoch,
+            "phase": phase,
+            "train_loss": loss,
+            "dev_f1": dev_f1,
+            "dev_per_class": dev_report.as_dict()["per_class"],
+        })
+        if cleaner_loss is not None:
+            records[-1]["cleaner_loss"] = cleaner_loss
 
     model.load_state(best_state)
     test_f1, test_report = evaluate_split(model, data.test, data.label_set,
@@ -325,7 +323,7 @@ def train_variant(variant, data: SplitDataset, config, trial_seed,
     return TrialResult(
         seed=trial_seed,
         variant=variant,
-        dev_f1_history=dev_history,
+        records=records,
         selected_epoch=best_epoch,
         test_f1=test_f1,
         test_report=test_report,
@@ -335,13 +333,12 @@ def train_variant(variant, data: SplitDataset, config, trial_seed,
     )
 
 
-def run_trials(variant, data: SplitDataset, config, metrics_sink=None):
+def run_trials(variant, data: SplitDataset, config):
     """``config.n_seeds`` independent seeded trials; reports mean test F1
     and standard error (sample standard deviation over the square root of
     the trial count)."""
     trials = [
-        train_variant(variant, data, config, trial_seed=config.seed + i,
-                      metrics_sink=metrics_sink)
+        train_variant(variant, data, config, trial_seed=config.seed + i)
         for i in range(config.n_seeds)
     ]
     mean, se = mean_and_se([t.test_f1 for t in trials])
@@ -375,7 +372,7 @@ SWEEP_AXES = ("clean-size", "noisy-factor")
 
 
 def sweep(axis, values, variant, train_corpus, dev_corpus, test_corpus, config,
-          gazetteer=None, metrics_sink=None):
+          gazetteer=None):
     """Run the harness across clean-data sizes or noisy subsample factors.
 
     clean-size resamples C at each budget (the per-epoch noisy subsample
@@ -407,7 +404,7 @@ def sweep(axis, values, variant, train_corpus, dev_corpus, test_corpus, config,
         if axis == "clean-size":
             data = None  # free the last value's dataset before preparing this one
             data = prepared(cfg)
-        summary = run_trials(variant, data, cfg, metrics_sink=metrics_sink)
+        summary = run_trials(variant, data, cfg)
         rows.append(SweepRow(
             axis_value=float(value),
             variant=variant,

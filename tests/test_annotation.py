@@ -99,6 +99,24 @@ class TestLoading:
         path.write_text("France\tLOC\nSmith\tMISC\n", encoding="utf-8")
         assert len(Gazetteer.load(path, classes=("O", "PER", "ORG", "LOC"))) == 1
 
+    def test_empty_surface_names_file_and_line(self, tmp_path):
+        path = tmp_path / "gaz.tsv"
+        path.write_text("France\tLOC\n\tPER\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            Gazetteer.load(path)
+        assert str(err.value) == f"{path}:2: empty surface"
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "Smith\tMISC\nJones\tMISC\n"],
+                             ids=["empty", "blank-lines", "misc-only"])
+    def test_file_without_an_entry_names_the_file(self, tmp_path, text):
+        path = tmp_path / "gaz.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            Gazetteer.load(path)
+        assert str(err.value) == f"{path}: no entry (MISC lines are skipped)"
+        # a gazetteer built in code may still be empty
+        assert len(Gazetteer([])) == 0
+
     def test_blocklist_file_extends_default(self, tmp_path):
         gazfile = tmp_path / "gaz.tsv"
         gazfile.write_text("Horizon\tPER\nFriday\tPER\n", encoding="utf-8")

@@ -309,6 +309,21 @@ class TestTrainEvaluateReport:
                     scores.precision, scores.recall, scores.f1)
         assert any(record["dev_f1"] > 0 for record in records)
 
+    def test_metrics_file_is_the_records_train_variant_returns(self, run_dir):
+        from noisylab import cli, training
+        from noisylab.data import prepare
+        from noisylab.fileio import jsonl_line
+
+        path = str(run_dir / "resolved_config.txt")
+        config = ExperimentConfig.load(path)
+        corpora, gaz = cli._load_inputs(config, path)
+        data = prepare(config, *corpora, gazetteer=gaz)
+        records = training.train_variant(config.variant, data, config,
+                                         trial_seed=config.seed).records
+        assert "".join(jsonl_line(r) + "\n" for r in records) == read(run_dir / "metrics.jsonl")
+        summary = json.loads(read(run_dir / "summary.json"))
+        assert summary["dev_f1_history"] == [r["dev_f1"] for r in records]
+
     def test_rerun_from_resolved_config_is_bit_identical(self, run_dir, tmp_path):
         out2 = tmp_path / "again"
         code = main(["train", "--config", str(run_dir / "resolved_config.txt"),
@@ -527,13 +542,8 @@ class TestConfigRejected:
     def test_noisy_factor_beyond_the_pool_stops_before_training(
             self, tiny_config_text, tmp_path, capsys, monkeypatch):
         from noisylab import training
-        records = []
-        train_variant = training.train_variant
-
-        def recording(*args, **kwargs):
-            return train_variant(*args, **{**kwargs, "metrics_sink": records.append})
-
-        monkeypatch.setattr(training, "train_variant", recording)
+        passes = []
+        monkeypatch.setattr(training, "_supervised_pass", lambda *a, **k: passes.append(a))
         cfg = tmp_path / "config.txt"
         cfg.write_text(tiny_config_text.replace("noisy_factor = 1.0", "noisy_factor = 50"),
                        encoding="utf-8")
@@ -542,7 +552,7 @@ class TestConfigRejected:
         err = capsys.readouterr().err
         assert "error: noisy_factor 50.0 x |C| " in err
         assert "exceeds the noisy pool of " in err
-        assert records == []
+        assert passes == []
         assert not (tmp_path / "run").exists()
 
 
@@ -597,7 +607,10 @@ class TestBadInputFilesExit2:
         ("the" + " 0.1" * 12 + "\nof" + " 0.5" * 11 + " nan\n",
          "line 2: non-finite component"),
         ("the 0.1 0.2 0.3\nof 0.5 0.5 0.5\n", "line 1: expected 12 components, got 3"),
-    ], ids=["non-finite", "width"])
+        ("\n", "no word vectors"),
+        ("the" + " 0.1" * 12 + "\nof" + " 0.5" * 12 + "\nthe" + " 0.2" * 12 + "\n",
+         "line 3: word 'the' already on line 1"),
+    ], ids=["non-finite", "width", "empty", "repeated-word"])
     def test_bad_embedding_file(self, tiny_config_text, tmp_path, capsys, text, message):
         vectors = tmp_path / "vectors.txt"
         vectors.write_text(text, encoding="utf-8")
@@ -702,13 +715,8 @@ class TestSweepCommand:
     def test_value_beyond_the_pool_stops_before_any_trial(
             self, tiny_config_text, tmp_path, capsys, monkeypatch):
         from noisylab import training
-        records = []
-        run_trials = training.run_trials
-
-        def recording(*args, **kwargs):
-            return run_trials(*args, **{**kwargs, "metrics_sink": records.append})
-
-        monkeypatch.setattr(training, "run_trials", recording)
+        passes = []
+        monkeypatch.setattr(training, "_supervised_pass", lambda *a, **k: passes.append(a))
         cfg = tmp_path / "config.txt"
         cfg.write_text(tiny_config_text, encoding="utf-8")
         out = tmp_path / "sweepout"
@@ -716,7 +724,7 @@ class TestSweepCommand:
                      "--values", "0.5,50", "--out", str(out)])
         assert code == 2
         assert "error: noisy_factor 50.0 x |C| " in capsys.readouterr().err
-        assert records == []
+        assert passes == []
         assert not out.exists()
 
 

@@ -135,6 +135,25 @@ class TestEmbeddings:
             load_embeddings(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    def test_file_without_vectors_names_the_file(self, tmp_path, text):
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}: no word vectors"
+
+    def test_word_listed_twice_names_both_lines(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("a 1 2\nb 3 4\na 5 6\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}: line 3: word 'a' already on line 1"
+        # case differs, so these are two words
+        path.write_text("a 1 2\nA 3 4\n", encoding="utf-8")
+        _, vocab = load_embeddings(path)
+        assert vocab.encode(["a", "A"]) == [0, 1]
+
     def test_write_then_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         words = ["one", "two", "three"]

@@ -540,12 +540,20 @@ class TestPinAroundTrialsAndPrediction:
         set_(before)
 
     @needs_pin
-    def test_restored_after_train_variant_and_predict_on_a_split(self, tiny, caller_count):
+    def test_restored_after_train_variant_and_predict_on_a_split(self, tiny, caller_count,
+                                                                 monkeypatch):
         config, data = tiny
         inside = []
-        result = training.train_variant("base-model", data, config, trial_seed=0,
-                                        metrics_sink=lambda r: inside.append(blas_threads()))
-        assert inside == [1] * config.epochs
+        evaluate_split = training.evaluate_split
+
+        def probed(*args, **kwargs):
+            inside.append(blas_threads())
+            return evaluate_split(*args, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate_split", probed)
+        result = training.train_variant("base-model", data, config, trial_seed=0)
+        # dev is scored once per epoch, and test once at the end
+        assert inside == [1] * (config.epochs + 1)
         assert blas_threads() == caller_count
         model = WindowClassifier(data.embedding_table, k=data.k, hidden_size=10,
                                  dense_size=8)

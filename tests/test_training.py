@@ -18,6 +18,7 @@ from noisylab.toydata import generate_corpus
 from noisylab.training import (
     VARIANTS,
     _clean_noisy_labels,
+    _train_cleaner_pass,
     evaluate_split,
     mean_and_se,
     run_trials,
@@ -112,8 +113,7 @@ class TestSchedule:
     @pytest.mark.parametrize("name", sorted(VARIANTS))
     def test_trained_phases_follow_the_schedule(self, tiny_data, name):
         config = dataclasses.replace(TINY, epochs=3, pretrain_epochs=1)
-        records = []
-        train_variant(name, tiny_data, config, trial_seed=4, metrics_sink=records.append)
+        records = train_variant(name, tiny_data, config, trial_seed=4).records
         assert [r["phase"] for r in records] == schedule(name, 3)
 
 
@@ -177,6 +177,26 @@ class TestEpochFunctions:
             np.testing.assert_allclose(noise.theta().sum(axis=1), 1.0, atol=1e-12)
         assert not np.allclose(noise.logits.values, np.eye(5))
 
+    def test_cleaner_pass_scores_c_once(self, tiny_data, monkeypatch):
+        from noisylab.model import WindowClassifier
+        model = WindowClassifier(tiny_data.embedding_table, k=5, hidden_size=10,
+                                 dense_size=8, seed=4)
+        cleaner = CleaningNetwork(20, 5, proj_size=4, seed=0)
+        opt = Adam(cleaner.parameters(), lr=0.005)
+        calls = []
+        infer = WindowClassifier.infer
+
+        def counted(self, token_ids, *args, **kwargs):
+            calls.append(len(token_ids))
+            return infer(self, token_ids, *args, **kwargs)
+
+        monkeypatch.setattr(WindowClassifier, "infer", counted)
+        assert len(tiny_data.clean) > 32
+        for epoch in range(2):
+            _train_cleaner_pass(model, cleaner, tiny_data.clean, opt,
+                                substream(0, "cleaner", epoch), 32, 5)
+        assert calls == [len(tiny_data.clean)] * 2
+
 
 class TestOverfitSanity:
     def test_separable_toy_data_reaches_full_accuracy(self, tiny_data):
@@ -221,15 +241,13 @@ class TestTrainVariant:
 
     def test_selected_epoch_maximizes_dev_f1(self, tiny_data):
         result = train_variant("base-model", tiny_data, TINY, trial_seed=1)
-        history = np.array(result.dev_f1_history)
+        history = np.array([r["dev_f1"] for r in result.records])
         assert len(history) == TINY.epochs
         assert result.selected_epoch == int(np.argmax(history))
         assert history[result.selected_epoch] == history.max()
 
     def test_metrics_records_one_per_epoch(self, tiny_data):
-        records = []
-        train_variant("noise-model", tiny_data, TINY, trial_seed=2,
-                      metrics_sink=records.append)
+        records = train_variant("noise-model", tiny_data, TINY, trial_seed=2).records
         assert len(records) == TINY.epochs
         assert [r["epoch"] for r in records] == list(range(TINY.epochs))
         assert records[0]["phase"] == "clean"
@@ -360,7 +378,7 @@ class TestRunTrials:
         assert a.mean_f1 == b.mean_f1
         assert a.se == b.se
         for ta, tb in zip(a.trials, b.trials):
-            assert ta.dev_f1_history == tb.dev_f1_history
+            assert ta.records == tb.records
             assert ta.test_f1 == tb.test_f1
             np.testing.assert_array_equal(ta.theta, tb.theta)
 
@@ -395,14 +413,16 @@ class TestSweep:
 
     @pytest.mark.parametrize("variant", ["noise-model", "base-model-with-noise",
                                          "noise-cleaning-model"])
-    def test_excessive_factor_rejected_before_training(self, tiny_data, variant):
-        records = []
+    def test_excessive_factor_rejected_before_training(self, tiny_data, variant,
+                                                       monkeypatch):
+        import noisylab.training as training
+        passes = []
+        monkeypatch.setattr(training, "_supervised_pass", lambda *a, **k: passes.append(a))
         config = dataclasses.replace(TINY, noisy_factor=50.0)
         with pytest.raises(ValueError, match=r"noisy_factor 50\.0 x \|C\| \d+ = \d+ "
                                              r"exceeds the noisy pool of \d+"):
-            train_variant(variant, tiny_data, config, trial_seed=1,
-                          metrics_sink=records.append)
-        assert records == []
+            train_variant(variant, tiny_data, config, trial_seed=1)
+        assert passes == []
 
     @pytest.mark.parametrize("axis, values, message", [
         ("noisy-factor", [0.5, 50.0], "exceeds the noisy pool"),
